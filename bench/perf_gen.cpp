@@ -76,7 +76,7 @@ struct GenSpec {
   std::string name;     // snapshot dataset name, e.g. "rmat-s20"
   NodeId num_nodes = 0;
   std::uint64_t attempts = 0;
-  std::function<IoResult(const gen::EdgeSink&)> stream;
+  std::function<IoResult(const EdgeSink&)> stream;
 };
 
 struct GenResult {
@@ -207,17 +207,17 @@ int main(int argc, char** argv) {
         gen::RmatParams p;
         p.scale = gen_scale;
         p.num_edges = attempts;
-        spec.stream = [p, seed, chunked](const gen::EdgeSink& sink) {
+        spec.stream = [p, seed, chunked](const EdgeSink& sink) {
           return gen::StreamRmat(p, seed, chunked, sink);
         };
       } else if (g == "er") {
         spec.stream = [n, attempts, seed, chunked](
-                          const gen::EdgeSink& sink) {
+                          const EdgeSink& sink) {
           return gen::StreamErdosRenyi(n, attempts, seed, chunked, sink);
         };
       } else if (g == "ba") {
         const auto out_k = static_cast<NodeId>(edge_factor);
-        spec.stream = [n, out_k, seed, chunked](const gen::EdgeSink& sink) {
+        spec.stream = [n, out_k, seed, chunked](const EdgeSink& sink) {
           return gen::StreamBarabasiAlbert(n, out_k, seed, chunked, sink);
         };
       } else {
@@ -270,7 +270,7 @@ int main(int argc, char** argv) {
                       .string();
         extmem::ExtBuildStats stats;
         io = extmem::BuildPackFromEdgeStream(
-            [&](const gen::EdgeSink& builder_sink) {
+            [&](const EdgeSink& builder_sink) {
               return spec.stream([&](const Edge* e, std::size_t count) {
                 fp.Mix(e, count);
                 return builder_sink(e, count);

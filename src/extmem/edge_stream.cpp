@@ -1,13 +1,13 @@
 #include "extmem/edge_stream.h"
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 
 #include "obs/metrics.h"
 #include "util/atomic_file.h"
 #include "util/failpoint.h"
+#include "util/file_ptr.h"
 
 namespace gorder::extmem {
 
@@ -18,20 +18,10 @@ GORDER_FAILPOINT_DEFINE(fp_run_open, "extmem.run.open");
 GORDER_FAILPOINT_DEFINE(fp_run_write, "extmem.run.write");
 GORDER_FAILPOINT_DEFINE(fp_merge_open, "extmem.merge.open");
 GORDER_FAILPOINT_DEFINE(fp_merge_read, "extmem.merge.read");
-GORDER_FAILPOINT_DEFINE(fp_ingest_open, "extmem.ingest.open");
-GORDER_FAILPOINT_DEFINE(fp_ingest_read, "extmem.ingest.read");
-GORDER_FAILPOINT_DEFINE(fp_ingest_alloc, "extmem.ingest.alloc");
 
 GORDER_OBS_COUNTER(c_runs_written, "extmem.runs_written");
 GORDER_OBS_COUNTER(c_run_bytes, "extmem.run_bytes");
 GORDER_OBS_COUNTER(c_merge_passes, "extmem.merge_passes");
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 inline bool EdgeLess(const Edge& a, const Edge& b) {
   return a.src != b.src ? a.src < b.src : a.dst < b.dst;
@@ -77,7 +67,7 @@ IoResult RunSet::WriteRun(const Edge* edges, std::size_t count) {
   if (GORDER_FAILPOINT(fp_run_open) != util::FaultKind::kNone) {
     return IoResult::Error("cannot open run file " + path);
   }
-  FilePtr f(std::fopen(path.c_str(), "wb"));
+  util::FilePtr f(std::fopen(path.c_str(), "wb"));
   if (!f) return IoResult::Error("cannot open run file " + path);
   if (!WriteEdgesBuffered(f.get(), edges, count)) {
     f.reset();
@@ -101,7 +91,7 @@ IoResult RunSet::WriteMerged(MergeStream* merge, std::size_t buffer_edges) {
   if (GORDER_FAILPOINT(fp_run_open) != util::FaultKind::kNone) {
     return IoResult::Error("cannot open run file " + path);
   }
-  FilePtr f(std::fopen(path.c_str(), "wb"));
+  util::FilePtr f(std::fopen(path.c_str(), "wb"));
   if (!f) return IoResult::Error("cannot open run file " + path);
   auto fail = [&](IoResult r) {
     f.reset();
@@ -162,7 +152,7 @@ void RunSet::Remove() {
 // MergeStream
 
 struct MergeStream::Source {
-  FilePtr file;
+  util::FilePtr file;
   std::string path;
   std::vector<Edge> buffer;
   std::size_t pos = 0;    // next unread edge in buffer
@@ -353,163 +343,5 @@ IoResult ExternalEdgeSorter::Finish(ExtBuildStats* stats) {
 IoResult ExternalEdgeSorter::OpenMerge(MergeStream* merge) const {
   return merge->Open(runs_, 0, runs_.NumRuns(), merge_buffer_edges_);
 }
-
-// ---------------------------------------------------------------------------
-// EdgeListStreamer
-
-namespace internal {
-
-namespace {
-
-/// Parses complete lines in data[0, end). Grammar identical to
-/// ReadEdgeList (edgelist_io.cpp): leading blanks, '#'/'%' comments,
-/// two decimal ids, arbitrary trailing junk. On error returns the byte
-/// offset of the offending line and a message; otherwise fills `edges`.
-struct RegionParse {
-  std::size_t error_offset = static_cast<std::size_t>(-1);
-  const char* error_kind = nullptr;
-  bool ok() const { return error_kind == nullptr; }
-};
-
-RegionParse ParseRegion(const char* data, std::size_t end,
-                        std::vector<Edge>* edges, NodeId* max_node,
-                        bool* saw_node) {
-  RegionParse out;
-  std::size_t p = 0;
-  while (p < end) {
-    const std::size_t line_start = p;
-    while (p < end && (data[p] == ' ' || data[p] == '\t')) ++p;
-    if (p < end && (data[p] == '#' || data[p] == '%' || data[p] == '\n' ||
-                    data[p] == '\0' || data[p] == '\r')) {
-      while (p < end && data[p] != '\n') ++p;
-      if (p < end) ++p;
-      continue;
-    }
-    if (p >= end) break;  // trailing blanks with no newline
-    std::uint64_t ids[2];
-    bool field_ok = true;
-    for (int k = 0; k < 2 && field_ok; ++k) {
-      while (p < end && (data[p] == ' ' || data[p] == '\t')) ++p;
-      if (p >= end || data[p] < '0' || data[p] > '9') {
-        field_ok = false;
-        break;
-      }
-      std::uint64_t value = 0;
-      while (p < end && data[p] >= '0' && data[p] <= '9') {
-        value = value * 10 + static_cast<std::uint64_t>(data[p] - '0');
-        if (value > 0xFFFFFFFFFULL) value = 0xFFFFFFFFFULL;  // clamp, reject
-        ++p;
-      }
-      ids[k] = value;
-    }
-    if (!field_ok) {
-      out.error_offset = line_start;
-      out.error_kind = "malformed edge line";
-      return out;
-    }
-    if (ids[0] > 0xFFFFFFFEULL || ids[1] > 0xFFFFFFFEULL) {
-      out.error_offset = line_start;
-      out.error_kind = "node id out of 32-bit range";
-      return out;
-    }
-    const NodeId src = static_cast<NodeId>(ids[0]);
-    const NodeId dst = static_cast<NodeId>(ids[1]);
-    edges->push_back({src, dst});
-    const NodeId hi = std::max(src, dst);
-    if (!*saw_node || hi > *max_node) *max_node = hi;
-    *saw_node = true;
-    while (p < end && data[p] != '\n') ++p;
-    if (p < end) ++p;
-  }
-  return out;
-}
-
-}  // namespace
-
-IoResult StreamEdgeListImpl(const std::string& path,
-                            IoResult (*emit)(void* ctx, const Edge* edges,
-                                             std::size_t count),
-                            void* ctx, NodeId* max_node, bool* saw_node) {
-  if (GORDER_FAILPOINT(fp_ingest_open) != util::FaultKind::kNone) {
-    return IoResult::Error("cannot open " + path);
-  }
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return IoResult::Error("cannot open " + path);
-
-  NodeId local_max = 0;
-  bool local_saw = false;
-  std::vector<char> buf;
-  std::vector<Edge> edges;
-  constexpr std::size_t kMaxLine = 64u << 20;  // pathological-line ceiling
-  try {
-    GORDER_FAULT_ALLOC(fp_ingest_alloc);
-    buf.resize(1u << 20);
-  } catch (const std::bad_alloc&) {
-    return IoResult::Error("cannot allocate read buffer for " + path);
-  }
-  std::size_t carry = 0;       // bytes held over from the previous read
-  std::size_t line_base = 1;   // line number of the first carried byte
-  while (true) {
-    const std::size_t want = buf.size() - carry;
-    // A short count here is legitimate (EOF), so a real error is only
-    // detectable via ferror — and an injected fault via the mismatch
-    // between the real transfer and the faulted one.
-    const std::size_t real = std::fread(buf.data() + carry, 1, want, f.get());
-    const std::size_t got = GORDER_FAULT_IO(fp_ingest_read, want, real);
-    if (got != real || std::ferror(f.get())) {
-      return IoResult::Error("short read from " + path);
-    }
-    const std::size_t filled = carry + got;
-    const bool eof = got < want;
-    // Parse up to the last complete line (or everything at EOF).
-    std::size_t region = filled;
-    if (!eof) {
-      while (region > 0 && buf[region - 1] != '\n') --region;
-      if (region == 0) {
-        // No newline in the whole buffer: an over-long line. Grow (rare)
-        // up to the ceiling rather than splitting a token.
-        if (filled == buf.size()) {
-          if (buf.size() >= kMaxLine) {
-            return IoResult::Error(path + ": line exceeds " +
-                                   std::to_string(kMaxLine) + " bytes");
-          }
-          try {
-            GORDER_FAULT_ALLOC(fp_ingest_alloc);
-            buf.resize(buf.size() * 2);
-          } catch (const std::bad_alloc&) {
-            return IoResult::Error("cannot allocate read buffer for " + path);
-          }
-        }
-        carry = filled;
-        continue;
-      }
-    }
-    edges.clear();
-    RegionParse parse =
-        ParseRegion(buf.data(), region, &edges, &local_max, &local_saw);
-    if (!parse.ok()) {
-      std::size_t line = line_base;
-      for (std::size_t i = 0; i < parse.error_offset; ++i) {
-        if (buf[i] == '\n') ++line;
-      }
-      return IoResult::Error(path + ":" + std::to_string(line) + ": " +
-                             parse.error_kind);
-    }
-    if (!edges.empty()) {
-      if (IoResult r = emit(ctx, edges.data(), edges.size()); !r.ok) return r;
-    }
-    for (std::size_t i = 0; i < region; ++i) {
-      if (buf[i] == '\n') ++line_base;
-    }
-    carry = filled - region;
-    if (carry > 0) std::memmove(buf.data(), buf.data() + region, carry);
-    if (eof) break;
-  }
-  if (max_node != nullptr) *max_node = local_max;
-  if (saw_node != nullptr) *saw_node = local_saw;
-  return IoResult::Ok();
-}
-
-}  // namespace internal
 
 }  // namespace gorder::extmem

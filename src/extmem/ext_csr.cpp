@@ -250,7 +250,7 @@ IoResult StreamEdgeListToPack(const std::string& edge_path,
                               ExtBuildStats* stats) {
   ExtPackBuilder builder(options);
   if (IoResult r = builder.Begin(pack_path); !r.ok) return r;
-  IoResult r = EdgeListStreamer::Stream(
+  IoResult r = StreamEdgeList(
       edge_path, [&](const Edge* edges, std::size_t count) {
         return builder.AddBatch(edges, count);
       });

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "extmem/edge_stream.h"
+#include "graph/edgelist_io.h"  // EdgeSink
 #include "graph/graph.h"
 #include "util/io_result.h"
 
@@ -72,9 +73,9 @@ class ExtPackBuilder {
   bool begun_ = false;
 };
 
-/// One-call ingest: streams a text edge list (ReadEdgeList grammar)
-/// into an extmem pack build. The bounded-memory replacement for
-/// ReadEdgeList + WritePack.
+/// One-call ingest: StreamEdgeList (graph/edgelist_io.h) into an extmem
+/// pack build. The bounded-memory replacement for ReadEdgeList +
+/// WritePack.
 IoResult StreamEdgeListToPack(const std::string& edge_path,
                               const std::string& pack_path,
                               const ExtmemOptions& options = {},
@@ -84,8 +85,7 @@ IoResult StreamEdgeListToPack(const std::string& edge_path,
 /// edge chunk through it, propagating the first sink error. The chunked
 /// generators (gen/chunked.h) curry into this shape:
 ///   [&](const auto& sink) { return gen::StreamRmat(p, seed, opt, sink); }
-using EdgeStreamFn = std::function<IoResult(
-    const std::function<IoResult(const Edge*, std::size_t)>&)>;
+using EdgeStreamFn = std::function<IoResult(const EdgeSink&)>;
 
 /// Sink adapter from any edge stream to a finished pack: begins an
 /// external build, reserves `reserve_nodes`, feeds every chunk the

@@ -23,6 +23,7 @@
 #include <functional>
 #include <vector>
 
+#include "graph/edgelist_io.h"  // EdgeSink
 #include "graph/graph.h"
 #include "util/io_result.h"
 #include "util/rng.h"
@@ -30,11 +31,6 @@
 namespace gorder::gen {
 
 struct RmatParams;  // generators.h
-
-/// Receives generated edges chunk by chunk, in ascending chunk order.
-/// The pointer is only valid for the duration of the call. Returning an
-/// error stops the stream; no further chunks are delivered.
-using EdgeSink = std::function<IoResult(const Edge*, std::size_t)>;
 
 /// Knobs for the chunked drivers. Defaults suit the out-of-core
 /// pipeline: 2 MiB of edges per chunk, window sized from the thread

@@ -5,13 +5,13 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <memory>
 #include <new>
 #include <vector>
 
 #include "obs/trace.h"
 #include "util/atomic_file.h"
 #include "util/failpoint.h"
+#include "util/file_ptr.h"
 #include "util/parallel.h"
 
 namespace gorder {
@@ -19,7 +19,6 @@ namespace gorder {
 namespace {
 
 GORDER_FAILPOINT_DEFINE(fp_read_open, "graph.read_edgelist.open");
-GORDER_FAILPOINT_DEFINE(fp_read_stat, "graph.read_edgelist.stat");
 GORDER_FAILPOINT_DEFINE(fp_read_read, "graph.read_edgelist.read");
 GORDER_FAILPOINT_DEFINE(fp_read_alloc, "graph.read_edgelist.alloc");
 GORDER_FAILPOINT_DEFINE(fp_write_open, "graph.write_edgelist.open");
@@ -33,51 +32,44 @@ GORDER_FAILPOINT_DEFINE(fp_rbin_alloc, "graph.read_binary.alloc");
 
 constexpr char kBinaryMagic[8] = {'G', 'O', 'R', 'D', 'E', 'R', '0', '1'};
 
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
+constexpr std::size_t kReadBuffer = 1u << 20;
+constexpr std::size_t kMaxLine = 64u << 20;  // pathological-line ceiling
 
-constexpr std::size_t kNoError = static_cast<std::size_t>(-1);
-
-/// Parse state for one chunk of the input buffer. Chunks are merged in
-/// file order, so the resulting edge sequence — and therefore the graph —
-/// is independent of the chunk count and thread schedule.
+/// Parse result of one line-aligned chunk of a read buffer.
 struct ChunkParse {
   std::vector<Edge> edges;
-  NodeId max_node = 0;
-  bool saw_node = false;
-  std::size_t error_offset = kNoError;  // byte offset of the offending line
+  NodeId max_node = 0;    // largest id in `edges`
+  std::size_t lines = 0;  // '\n' consumed before the end or the bad line
   const char* error_kind = nullptr;
 };
 
-/// Parses edge lines in `data[begin, end)`. `begin` is at a line start and
-/// `end` is at a line boundary (or end of buffer). Accepts the same inputs
-/// as the old sscanf("%u %u") parser: leading blanks, '#'/'%' comments,
-/// and arbitrary trailing junk after the two ids. Lines of any length are
-/// handled — the old fgets-based reader silently split lines longer than
-/// 255 bytes into two parses.
+/// The edge-list tokenizer (grammar in edgelist_io.h). Parses the lines
+/// in `data[begin, end)`: `begin` is at a line start and `end` just past
+/// a '\n' or at the end of the file.
 void ParseChunk(const char* data, std::size_t begin, std::size_t end,
                 ChunkParse* out) {
+  out->edges.clear();
+  out->max_node = 0;
+  out->lines = 0;
+  out->error_kind = nullptr;
   std::size_t p = begin;
   while (p < end) {
-    const std::size_t line_start = p;
     while (p < end && (data[p] == ' ' || data[p] == '\t')) ++p;
-    if (p < end && (data[p] == '#' || data[p] == '%' || data[p] == '\n' ||
-                    data[p] == '\0')) {
+    if (p == end || data[p] == '#' || data[p] == '%' || data[p] == '\n' ||
+        data[p] == '\r' || data[p] == '\0') {
       while (p < end && data[p] != '\n') ++p;
-      if (p < end) ++p;  // consume '\n'
+      if (p < end) {
+        ++p;
+        ++out->lines;
+      }
       continue;
     }
     std::uint64_t ids[2];
-    bool ok = true;
-    for (int k = 0; k < 2 && ok; ++k) {
+    for (int k = 0; k < 2; ++k) {
       while (p < end && (data[p] == ' ' || data[p] == '\t')) ++p;
       if (p >= end || data[p] < '0' || data[p] > '9') {
-        ok = false;
-        break;
+        out->error_kind = "malformed edge line";
+        return;
       }
       std::uint64_t value = 0;
       while (p < end && data[p] >= '0' && data[p] <= '9') {
@@ -87,124 +79,155 @@ void ParseChunk(const char* data, std::size_t begin, std::size_t end,
       }
       ids[k] = value;
     }
-    if (!ok) {
-      out->error_offset = line_start;
-      out->error_kind = "malformed edge line";
-      return;
-    }
     if (ids[0] > 0xFFFFFFFEULL || ids[1] > 0xFFFFFFFEULL) {
-      out->error_offset = line_start;
       out->error_kind = "node id out of 32-bit range";
       return;
     }
-    NodeId src = static_cast<NodeId>(ids[0]);
-    NodeId dst = static_cast<NodeId>(ids[1]);
+    const NodeId src = static_cast<NodeId>(ids[0]);
+    const NodeId dst = static_cast<NodeId>(ids[1]);
     out->edges.push_back({src, dst});
-    NodeId hi = std::max(src, dst);
-    if (!out->saw_node || hi > out->max_node) out->max_node = hi;
-    out->saw_node = true;
+    out->max_node = std::max({out->max_node, src, dst});
     while (p < end && data[p] != '\n') ++p;  // ignore the rest of the line
-    if (p < end) ++p;
+    if (p < end) {
+      ++p;
+      ++out->lines;
+    }
   }
 }
 
-std::size_t LineNumberAt(const std::vector<char>& data, std::size_t offset) {
-  return 1 + static_cast<std::size_t>(
-                 std::count(data.begin(),
-                            data.begin() + static_cast<std::ptrdiff_t>(offset),
-                            '\n'));
-}
-
-}  // namespace
-
-IoResult ReadEdgeList(const std::string& path, Graph* graph) {
-  GORDER_OBS_SPAN(span, "io.read_edgelist");
-  if (GORDER_FAILPOINT(fp_read_open) != util::FaultKind::kNone) {
-    return IoResult::Error("cannot open " + path);
-  }
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return IoResult::Error("cannot open " + path);
-  if (GORDER_FAILPOINT(fp_read_stat) != util::FaultKind::kNone ||
-      std::fseek(f.get(), 0, SEEK_END) != 0) {
-    return IoResult::Error("cannot seek " + path);
-  }
-  long size = std::ftell(f.get());
-  if (size < 0) return IoResult::Error("cannot stat " + path);
-  std::rewind(f.get());
-  std::vector<char> data;
-  try {
-    GORDER_FAULT_ALLOC(fp_read_alloc);
-    data.resize(static_cast<std::size_t>(size));
-  } catch (const std::bad_alloc&) {
-    return IoResult::Error("cannot allocate " + std::to_string(size) +
-                           " bytes reading " + path);
-  }
-  if (!data.empty() &&
-      GORDER_FAULT_IO(fp_read_read, data.size(),
-                      std::fread(data.data(), 1, data.size(), f.get())) !=
-          data.size()) {
-    return IoResult::Error("short read from " + path);
-  }
-  f.reset();
-
-  // Split into chunks at line boundaries; each chunk parses into a local
-  // buffer, merged in file order below.
+/// Splits `data[0, size)` into line-aligned chunks for the pool: chunk i
+/// is [bounds[i], bounds[i+1]).
+void SplitAtLines(const char* data, std::size_t size,
+                  std::vector<std::size_t>* bounds) {
   const int threads = NumThreads();
   const std::size_t want_chunks =
       threads == 1 ? 1
                    : std::min<std::size_t>(static_cast<std::size_t>(threads) * 4,
                                            std::max<std::size_t>(
-                                               data.size() / (1 << 16), 1));
-  std::vector<std::size_t> bounds;  // chunk i is [bounds[i], bounds[i+1])
-  bounds.push_back(0);
-  const std::size_t stride = data.size() / want_chunks + 1;
+                                               size / (1 << 16), 1));
+  bounds->assign(1, 0);
+  const std::size_t stride = size / want_chunks + 1;
   for (std::size_t c = 1; c < want_chunks; ++c) {
-    std::size_t pos = std::min(c * stride, data.size());
-    pos = std::max(pos, bounds.back());
-    while (pos < data.size() && data[pos] != '\n') ++pos;
-    if (pos < data.size()) ++pos;  // start just past the newline
-    if (pos > bounds.back()) bounds.push_back(pos);
+    std::size_t pos = std::max(std::min(c * stride, size), bounds->back());
+    while (pos < size && data[pos] != '\n') ++pos;
+    if (pos < size) ++pos;  // start just past the newline
+    if (pos > bounds->back()) bounds->push_back(pos);
   }
-  bounds.push_back(data.size());
+  bounds->push_back(size);
+}
 
-  const std::size_t num_chunks = bounds.size() - 1;
-  std::vector<ChunkParse> parts(num_chunks);
-  ParallelFor(0, num_chunks, 1, [&](std::size_t b, std::size_t e) {
-    for (std::size_t c = b; c < e; ++c) {
-      ParseChunk(data.data(), bounds[c], bounds[c + 1], &parts[c]);
-    }
-  });
+}  // namespace
 
-  for (const ChunkParse& part : parts) {
-    if (part.error_offset != kNoError) {
-      return IoResult::Error(path + ":" +
-                             std::to_string(LineNumberAt(data, part.error_offset)) +
-                             ": " + part.error_kind);
-    }
+IoResult StreamEdgeList(const std::string& path, const EdgeSink& sink,
+                        NodeId* max_node, bool* saw_node) {
+  if (GORDER_FAILPOINT(fp_read_open) != util::FaultKind::kNone) {
+    return IoResult::Error("cannot open " + path);
   }
+  util::FilePtr f(std::fopen(path.c_str(), "rb"));
+  if (!f) return IoResult::Error("cannot open " + path);
+  std::vector<char> buf;
+  auto grow = [&](std::size_t bytes) {
+    try {
+      GORDER_FAULT_ALLOC(fp_read_alloc);
+      buf.resize(bytes);
+    } catch (const std::bad_alloc&) {
+      return false;
+    }
+    return true;
+  };
+  if (!grow(kReadBuffer)) {
+    return IoResult::Error("cannot allocate read buffer for " + path);
+  }
+  std::vector<std::size_t> bounds;
+  std::vector<ChunkParse> parts;
+  NodeId local_max = 0;
+  bool local_saw = false;
+  std::size_t carry = 0;  // bytes of an incomplete line held over
+  std::size_t line = 1;   // line number of buf[0]
+  while (true) {
+    const std::size_t want = buf.size() - carry;
+    // A short count is legitimate at EOF, so a real error shows only in
+    // ferror — and an injected one as a mismatch with the real count.
+    const std::size_t real = std::fread(buf.data() + carry, 1, want, f.get());
+    const std::size_t got = GORDER_FAULT_IO(fp_read_read, want, real);
+    if (got != real || std::ferror(f.get())) {
+      return IoResult::Error("short read from " + path);
+    }
+    const std::size_t filled = carry + got;
+    const bool eof = got < want;
+    // Parse up to the last complete line, or everything at EOF.
+    std::size_t region = filled;
+    if (!eof) {
+      while (region > 0 && buf[region - 1] != '\n') --region;
+      if (region == 0) {
+        // No newline in the whole buffer: grow it (rare) up to the
+        // ceiling rather than split a token.
+        if (buf.size() >= kMaxLine) {
+          return IoResult::Error(path + ":" + std::to_string(line) +
+                                 ": line exceeds " + std::to_string(kMaxLine) +
+                                 " bytes");
+        }
+        if (!grow(buf.size() * 2)) {
+          return IoResult::Error("cannot allocate read buffer for " + path);
+        }
+        carry = filled;
+        continue;
+      }
+    }
+    SplitAtLines(buf.data(), region, &bounds);
+    const std::size_t num_chunks = bounds.size() - 1;
+    if (parts.size() < num_chunks) parts.resize(num_chunks);
+    ParallelFor(0, num_chunks, 1, [&](std::size_t b, std::size_t e) {
+      for (std::size_t c = b; c < e; ++c) {
+        ParseChunk(buf.data(), bounds[c], bounds[c + 1], &parts[c]);
+      }
+    });
+    for (std::size_t c = 0; c < num_chunks; ++c) {
+      const ChunkParse& part = parts[c];
+      if (part.error_kind != nullptr) {
+        return IoResult::Error(path + ":" + std::to_string(line + part.lines) +
+                               ": " + part.error_kind);
+      }
+      line += part.lines;
+      if (part.edges.empty()) continue;
+      if (IoResult r = sink(part.edges.data(), part.edges.size()); !r.ok) {
+        return r;
+      }
+      local_max = std::max(local_max, part.max_node);
+      local_saw = true;
+    }
+    carry = filled - region;
+    if (carry > 0) std::memmove(buf.data(), buf.data() + region, carry);
+    if (eof) break;
+  }
+  if (max_node != nullptr) *max_node = local_max;
+  if (saw_node != nullptr) *saw_node = local_saw;
+  return IoResult::Ok();
+}
 
-  std::size_t total = 0;
-  NodeId num_nodes = 0;
-  for (const ChunkParse& part : parts) {
-    total += part.edges.size();
-    if (part.saw_node && part.max_node + 1 > num_nodes) {
-      num_nodes = part.max_node + 1;
-    }
+IoResult ReadEdgeList(const std::string& path, Graph* graph) {
+  GORDER_OBS_SPAN(span, "io.read_edgelist");
+  // Size the edge array once: most edge lines take 8 bytes or more, and
+  // capacity that is never written costs no physical memory. Only a
+  // hint; the array still grows if the guess falls short.
+  std::vector<Edge> edges;
+  std::error_code ec;
+  const std::uintmax_t file_bytes = std::filesystem::file_size(path, ec);
+  try {
+    if (!ec) edges.reserve(file_bytes / sizeof(Edge));
+  } catch (const std::bad_alloc&) {
   }
-  std::vector<Edge> edges(total);
-  std::size_t pos = 0;
-  std::vector<std::size_t> starts(num_chunks);
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    starts[c] = pos;
-    pos += parts[c].edges.size();
-  }
-  ParallelFor(0, num_chunks, 1, [&](std::size_t b, std::size_t e) {
-    for (std::size_t c = b; c < e; ++c) {
-      std::copy(parts[c].edges.begin(), parts[c].edges.end(),
-                edges.begin() + static_cast<std::ptrdiff_t>(starts[c]));
-    }
-  });
-  *graph = Graph::FromEdges(num_nodes, std::move(edges));
+  NodeId max_node = 0;
+  bool saw_node = false;
+  IoResult r = StreamEdgeList(
+      path,
+      [&](const Edge* batch, std::size_t count) {
+        edges.insert(edges.end(), batch, batch + count);
+        return IoResult::Ok();
+      },
+      &max_node, &saw_node);
+  if (!r.ok) return r;
+  *graph = Graph::FromEdges(saw_node ? max_node + 1 : 0, std::move(edges));
   return IoResult::Ok();
 }
 
@@ -232,7 +255,7 @@ IoResult WriteEdgeList(const std::string& path, const Graph& graph) {
   if (GORDER_FAILPOINT(fp_write_open) != util::FaultKind::kNone) {
     return IoResult::Error("cannot open " + tmp + " for writing");
   }
-  FilePtr f(std::fopen(tmp.c_str(), "w"));
+  util::FilePtr f(std::fopen(tmp.c_str(), "w"));
   if (!f) return IoResult::Error("cannot open " + tmp + " for writing");
   auto fail = [&] {
     f.reset();
@@ -278,7 +301,7 @@ IoResult WriteBinary(const std::string& path, const Graph& graph) {
   if (GORDER_FAILPOINT(fp_wbin_open) != util::FaultKind::kNone) {
     return IoResult::Error("cannot open " + tmp + " for writing");
   }
-  FilePtr f(std::fopen(tmp.c_str(), "wb"));
+  util::FilePtr f(std::fopen(tmp.c_str(), "wb"));
   if (!f) return IoResult::Error("cannot open " + tmp + " for writing");
   std::uint64_t n = graph.NumNodes();
   std::uint64_t m = graph.NumEdges();
@@ -309,7 +332,7 @@ IoResult ReadBinary(const std::string& path, Graph* graph) {
   if (GORDER_FAILPOINT(fp_rbin_open) != util::FaultKind::kNone) {
     return IoResult::Error("cannot open " + path);
   }
-  FilePtr f(std::fopen(path.c_str(), "rb"));
+  util::FilePtr f(std::fopen(path.c_str(), "rb"));
   if (!f) return IoResult::Error("cannot open " + path);
   // File size first: the n/m header fields are untrusted and must be
   // bounded against it before they size any allocation.

@@ -15,6 +15,7 @@
 #include "util/atomic_file.h"
 #include "util/crc32.h"
 #include "util/failpoint.h"
+#include "util/file_ptr.h"
 #include "util/parallel.h"
 
 namespace gorder::store {
@@ -97,13 +98,6 @@ std::uint32_t HeaderCrc(GpackHeader header,
              : Crc32(table.data(), table.size() * sizeof(GpackSectionEntry),
                      crc);
 }
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 /// Streams `bytes` of `data` through fwrite in large chunks.
 bool WriteBuffered(std::FILE* f, const void* data, std::uint64_t bytes) {
@@ -386,58 +380,35 @@ IoResult WritePack(const std::string& path, const Graph& graph) {
   GORDER_OBS_SPAN(span, "store.pack_write");
   const std::uint64_t n = graph.NumNodes();
   const std::uint64_t m = graph.NumEdges();
-
-  GpackHeader header = {};
-  std::memcpy(header.magic, kMagic, sizeof kMagic);
-  header.format_version = kGpackFormatVersion;
-  header.header_bytes = sizeof(GpackHeader);
-  header.flags = kFlagHasInCsr;
-  header.num_nodes = n;
-  header.num_edges = m;
-  header.section_count = 4;
-
-  struct Payload {
-    std::uint32_t id;
-    std::uint32_t item_bytes;
+  const GpackLayout layout = ComputeGpackLayout(n, m);
+  const std::uint64_t off_bytes = (n + 1) * sizeof(EdgeId);
+  const std::uint64_t nbr_bytes = m * sizeof(NodeId);
+  const struct {
+    std::uint64_t offset;
     const void* data;
     std::uint64_t bytes;
-  };
-  const Payload payloads[4] = {
-      {kOutOffsets, sizeof(EdgeId), graph.out_offsets().data(),
-       graph.out_offsets().size() * sizeof(EdgeId)},
-      {kOutNeighbors, sizeof(NodeId), graph.out_neighbors().data(),
-       graph.out_neighbors().size() * sizeof(NodeId)},
-      {kInOffsets, sizeof(EdgeId), graph.in_offsets().data(),
-       graph.in_offsets().size() * sizeof(EdgeId)},
-      {kInNeighbors, sizeof(NodeId), graph.in_neighbors().data(),
-       graph.in_neighbors().size() * sizeof(NodeId)},
+  } payloads[4] = {
+      {layout.out_offsets, graph.out_offsets().data(), off_bytes},
+      {layout.out_neighbors, graph.out_neighbors().data(), nbr_bytes},
+      {layout.in_offsets, graph.in_offsets().data(), off_bytes},
+      {layout.in_neighbors, graph.in_neighbors().data(), nbr_bytes},
   };
 
   // Fingerprint and the four payload CRCs are independent scans; run them
   // concurrently on the shared pool.
-  std::vector<GpackSectionEntry> table(4);
-  std::uint64_t offset =
-      AlignUp(sizeof(GpackHeader) + table.size() * sizeof(GpackSectionEntry),
-              kSectionAlign);
-  for (std::size_t i = 0; i < 4; ++i) {
-    table[i].id = payloads[i].id;
-    table[i].item_bytes = payloads[i].item_bytes;
-    table[i].offset = offset;
-    table[i].bytes = payloads[i].bytes;
-    table[i].reserved = 0;
-    offset = AlignUp(offset + payloads[i].bytes, kSectionAlign);
-  }
+  std::uint64_t fingerprint = 0;
+  std::uint32_t crcs[4] = {};
   ParallelInvoke(
-      [&] { header.fingerprint = GraphFingerprint(graph); },
+      [&] { fingerprint = GraphFingerprint(graph); },
       [&] {
-        table[0].crc32 = Crc32(payloads[0].data, payloads[0].bytes);
-        table[1].crc32 = Crc32(payloads[1].data, payloads[1].bytes);
+        crcs[0] = Crc32(payloads[0].data, payloads[0].bytes);
+        crcs[1] = Crc32(payloads[1].data, payloads[1].bytes);
       },
       [&] {
-        table[2].crc32 = Crc32(payloads[2].data, payloads[2].bytes);
-        table[3].crc32 = Crc32(payloads[3].data, payloads[3].bytes);
+        crcs[2] = Crc32(payloads[2].data, payloads[2].bytes);
+        crcs[3] = Crc32(payloads[3].data, payloads[3].bytes);
       });
-  header.header_crc = HeaderCrc(header, table);
+  const std::string header = SerializeGpackHeader(n, m, fingerprint, crcs);
 
   // Stage to a writer-unique temp file next to the target, fsync, and
   // rename on success: a crashed or concurrent writer can never leave a
@@ -453,22 +424,14 @@ IoResult WritePack(const std::string& path, const Graph& graph) {
     return IoResult::Error("cannot open " + tmp + " for writing");
   }
   {
-    FilePtr f(std::fopen(tmp.c_str(), "wb"));
+    util::FilePtr f(std::fopen(tmp.c_str(), "wb"));
     if (!f) return IoResult::Error("cannot open " + tmp + " for writing");
-    bool ok = GORDER_FAULT_IO(fp_pack_write, 1,
-                              std::fwrite(&header, sizeof header, 1,
-                                          f.get())) == 1 &&
-              GORDER_FAULT_IO(fp_pack_write, table.size(),
-                              std::fwrite(table.data(),
-                                          sizeof(GpackSectionEntry),
-                                          table.size(), f.get())) ==
-                  table.size();
-    std::uint64_t pos =
-        sizeof(GpackHeader) + table.size() * sizeof(GpackSectionEntry);
+    bool ok = WriteBuffered(f.get(), header.data(), header.size());
+    std::uint64_t pos = header.size();
     for (std::size_t i = 0; ok && i < 4; ++i) {
-      ok = WriteZeros(f.get(), table[i].offset - pos) &&
+      ok = WriteZeros(f.get(), payloads[i].offset - pos) &&
            WriteBuffered(f.get(), payloads[i].data, payloads[i].bytes);
-      pos = table[i].offset + table[i].bytes;
+      pos = payloads[i].offset + payloads[i].bytes;
     }
     if (!ok || !util::FlushAndSync(f.get())) {
       f.reset();
@@ -478,7 +441,7 @@ IoResult WritePack(const std::string& path, const Graph& graph) {
   }
   if (IoResult r = util::CommitStagedFile(tmp, path); !r.ok) return r;
   GORDER_OBS_INC(c_pack_write);
-  GORDER_OBS_ADD(c_pack_write_bytes, offset);
+  GORDER_OBS_ADD(c_pack_write_bytes, layout.file_bytes);
   return IoResult::Ok();
 }
 

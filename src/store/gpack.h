@@ -76,7 +76,8 @@ GpackLayout ComputeGpackLayout(std::uint64_t num_nodes,
 /// standard pack — the first 192 bytes of the file. `crcs` are the
 /// payload CRC32s in section order (out_offsets, out_neighbors,
 /// in_offsets, in_neighbors). Everything between the returned prefix and
-/// the first payload (and between payloads) is zero padding.
+/// the first payload (and between payloads) is zero padding. WritePack
+/// and the external-memory builder both write exactly this prefix.
 std::string SerializeGpackHeader(std::uint64_t num_nodes,
                                  std::uint64_t num_edges,
                                  std::uint64_t fingerprint,

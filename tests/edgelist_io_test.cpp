@@ -6,8 +6,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
+#include "extmem/ext_csr.h"
 #include "gen/generators.h"
+#include "store/gpack.h"
+#include "test_util.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace gorder {
@@ -15,21 +22,22 @@ namespace {
 
 class IoTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "gorder_io_test";
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  std::string Path(const std::string& name) { return (dir_ / name).string(); }
+  std::string Path(const std::string& name) { return tmp_.Path(name); }
 
   void WriteFile(const std::string& name, const std::string& content) {
-    std::ofstream out(Path(name));
+    std::ofstream out(Path(name), std::ios::binary);
     out << content;
   }
 
-  std::filesystem::path dir_;
+  const ScopedTempDir tmp_;
 };
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
 
 TEST_F(IoTest, TextRoundTrip) {
   Rng rng(1);
@@ -46,6 +54,14 @@ TEST_F(IoTest, SkipsCommentsAndBlankLines) {
   ASSERT_TRUE(ReadEdgeList(Path("c.txt"), &g).ok);
   EXPECT_EQ(g.NumNodes(), 3u);
   EXPECT_EQ(g.NumEdges(), 2u);
+
+  // CRLF endings, a blank CRLF line and trailing blanks at EOF.
+  WriteFile("crlf.txt", "0 1\r\n\r\n1 2\r\n   ");
+  ASSERT_TRUE(ReadEdgeList(Path("crlf.txt"), &g).ok);
+  EXPECT_EQ(g.NumNodes(), 3u);
+  EXPECT_EQ(g.NumEdges(), 2u);
+  EXPECT_TRUE(g.HasEdge(0, 1));
+  EXPECT_TRUE(g.HasEdge(1, 2));
 }
 
 TEST_F(IoTest, TabSeparatedAccepted) {
@@ -106,6 +122,118 @@ TEST_F(IoTest, HugeNodeIdRejected) {
   IoResult r = ReadEdgeList(Path("huge.txt"), &g);
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("32-bit"), std::string::npos) << r.error;
+}
+
+// ---------------------------------------------------------------------------
+// Grammar conformance: the in-memory reader (ReadEdgeList) and the
+// out-of-core pack path (extmem::StreamEdgeListToPack) share one
+// tokenizer, so they must agree on every input — same accept/reject,
+// same "path:LINE: kind" error, and on accept a byte-identical pack.
+
+struct GrammarCase {
+  const char* name;
+  std::string content;
+  int error_line;           // 0: accepted
+  const char* error_kind;   // substring of the error when rejected
+};
+
+std::vector<GrammarCase> GrammarCases() {
+  const std::string pad(300, ' ');
+  std::string deep;  // > 1 read buffer and many chunks before the error
+  for (int i = 0; i < 300000; ++i) {
+    deep += std::to_string(i % 977) + ' ' + std::to_string(i % 499) + '\n';
+  }
+  std::string deep_bad = deep + "7 x\n";
+  return {
+      {"crlf", "0 1\r\n1 2\r\n2 0\r\n", 0, nullptr},
+      {"crlf_blank_line", "0 1\r\n\r\n1 2\r\n", 0, nullptr},
+      {"lone_crlf", "\r\n", 0, nullptr},
+      {"trailing_blanks_no_newline", "0 1\n1 2\n   ", 0, nullptr},
+      {"no_final_newline", "0 1\n1 2", 0, nullptr},
+      {"tabs", "0\t1\n\t1 \t2\n", 0, nullptr},
+      {"comments", "# snap\n% konect\n0 1\n  # indented\n\t% too\n1 2\n", 0,
+       nullptr},
+      {"trailing_junk", "0 1 junk\n1 2 3 4\n2 0\tx\n", 0, nullptr},
+      {"long_lines", "# " + std::string(300, 'x') + " 7 8\n0" + pad +
+                         "1\n1 2" + pad + "\n" + pad + "\n",
+       0, nullptr},
+      {"nul_line", std::string("\0 junk\n0 1\n", 11), 0, nullptr},
+      {"self_loops_only", "3 3\n", 0, nullptr},
+      {"empty", "", 0, nullptr},
+      {"comments_only", "# nothing here\n", 0, nullptr},
+      {"leading_zeros", "0 007\n0007 0\n", 0, nullptr},
+      {"multi_buffer", deep, 0, nullptr},
+      {"long_comment_2mib", "# " + std::string(2u << 20, 'x') + "\n0 1\n", 0,
+       nullptr},
+      {"malformed", "0 1\n1 2\nnot an edge\n2 3\n", 3, "malformed edge line"},
+      {"one_id", "0 1\n5\n", 2, "malformed edge line"},
+      {"one_id_at_eof", "0 1\n5", 2, "malformed edge line"},
+      {"negative_id", "-1 2\n", 1, "malformed edge line"},
+      {"float_id", "0 1\n3.5 2\n", 2, "malformed edge line"},
+      {"crlf_then_bad", "0 1\r\n\r\nx\r\n", 3, "malformed edge line"},
+      {"id_2pow32", "0 1\n0 4294967296\n", 2, "node id out of 32-bit range"},
+      {"id_2pow32_minus_1", "4294967295 0\n", 1,
+       "node id out of 32-bit range"},
+      {"id_overflow", "0 99999999999999999999999\n", 1,
+       "node id out of 32-bit range"},
+      {"error_after_many_buffers", deep_bad, 300001, "malformed edge line"},
+  };
+}
+
+TEST_F(IoTest, GrammarConformanceInMemoryVsPack) {
+  const int saved_threads = NumThreads();
+  for (int threads : {1, 4}) {
+    SetNumThreads(threads);
+    for (const GrammarCase& c : GrammarCases()) {
+      SCOPED_TRACE(std::string(c.name) + " @" + std::to_string(threads));
+      const std::string txt = Path(std::string(c.name) + ".txt");
+      const std::string ext_pack = Path(std::string(c.name) + ".ext.gpack");
+      const std::string mem_pack = Path(std::string(c.name) + ".mem.gpack");
+      WriteFile(std::string(c.name) + ".txt", c.content);
+
+      Graph g;
+      const IoResult mem = ReadEdgeList(txt, &g);
+      const IoResult ext = extmem::StreamEdgeListToPack(txt, ext_pack);
+      ASSERT_EQ(mem.ok, c.error_line == 0) << mem.error;
+      ASSERT_EQ(ext.ok, mem.ok) << ext.error;
+      if (!mem.ok) {
+        const std::string where =
+            txt + ":" + std::to_string(c.error_line) + ": ";
+        EXPECT_EQ(mem.error.rfind(where, 0), 0u) << mem.error;
+        EXPECT_NE(mem.error.find(c.error_kind), std::string::npos)
+            << mem.error;
+        EXPECT_EQ(ext.error, mem.error);
+        EXPECT_FALSE(std::filesystem::exists(ext_pack));
+        continue;
+      }
+      ASSERT_TRUE(store::WritePack(mem_pack, g).ok);
+      EXPECT_TRUE(ReadAll(ext_pack) == ReadAll(mem_pack))
+          << "extmem pack differs from WritePack(ReadEdgeList(...))";
+    }
+  }
+  SetNumThreads(saved_threads);
+}
+
+// The bounded read buffer grows for long lines up to a 64 MiB ceiling;
+// a line past it fails with its line number instead of growing without
+// bound.
+TEST_F(IoTest, LineOverCeilingFailsCleanly) {
+  {
+    std::ofstream out(Path("huge_line.txt"), std::ios::binary);
+    out << "0 1\n# ";
+    const std::string block(1u << 20, 'x');
+    for (int i = 0; i < 65; ++i) out << block;
+    out << "\n1 2\n";
+  }
+  const std::string path = Path("huge_line.txt");
+  Graph g;
+  const IoResult mem = ReadEdgeList(path, &g);
+  ASSERT_FALSE(mem.ok);
+  EXPECT_EQ(mem.error, path + ":2: line exceeds 67108864 bytes");
+  const IoResult ext =
+      extmem::StreamEdgeListToPack(path, Path("huge_line.gpack"));
+  ASSERT_FALSE(ext.ok);
+  EXPECT_EQ(ext.error, mem.error);
 }
 
 TEST_F(IoTest, BinaryRoundTrip) {
@@ -175,7 +303,7 @@ TEST_F(IoTest, WritersLeaveNoStagingDebris) {
   Graph g = gen::BarabasiAlbert(50, 2, rng);
   ASSERT_TRUE(WriteEdgeList(Path("clean.txt"), g).ok);
   ASSERT_TRUE(WriteBinary(Path("clean.bin"), g).ok);
-  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+  for (const auto& entry : std::filesystem::directory_iterator(tmp_.path())) {
     EXPECT_EQ(entry.path().string().find(".tmp."), std::string::npos)
         << entry.path();
   }

@@ -8,36 +8,15 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "core/gorder_lib.h"
+#include "test_util.h"
 
 namespace gorder {
 namespace {
-
-namespace fs = std::filesystem;
-
-std::string TempPath(const std::string& tag) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  std::string name = std::string("gorder_extdiff_") + info->test_suite_name() +
-                     "_" + info->name() + "_" + tag;
-  for (char& c : name) {
-    if (c == '/' || c == '\\') c = '_';
-  }
-  return (fs::temp_directory_path() / name).string();
-}
-
-struct TempFile {
-  explicit TempFile(std::string p) : path(std::move(p)) {}
-  ~TempFile() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  std::string path;
-};
 
 struct ThreadGuard {
   explicit ThreadGuard(int n) : saved(NumThreads()) { SetNumThreads(n); }
@@ -61,6 +40,7 @@ constexpr double kScale = 0.12;
 class ExtmemDifferentialTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ExtmemDifferentialTest, PackAndOrderingsMatchInMemoryPath) {
+  const ScopedTempDir dir;
   ThreadGuard threads(GetParam());
   for (const gen::DatasetSpec& spec : gen::AllDatasets()) {
     SCOPED_TRACE(spec.name);
@@ -74,22 +54,22 @@ TEST_P(ExtmemDifferentialTest, PackAndOrderingsMatchInMemoryPath) {
     const std::size_t original = edges.size();
     for (std::size_t i = 0; i < original; i += 97) edges.push_back(edges[i]);
 
-    TempFile ext_pack(TempPath(spec.name + ".ext.gpack"));
-    TempFile mem_pack(TempPath(spec.name + ".mem.gpack"));
+    const std::string ext_pack = dir.Path(spec.name + ".ext.gpack");
+    const std::string mem_pack = dir.Path(spec.name + ".mem.gpack");
 
     extmem::ExtmemOptions options;
     options.mem_budget_bytes = 8ull << 20;
     options.run_buffer_edges = 4096;  // force several runs per dataset
     extmem::ExtPackBuilder builder(options);
-    ASSERT_TRUE(builder.Begin(ext_pack.path).ok);
+    ASSERT_TRUE(builder.Begin(ext_pack).ok);
     builder.ReserveNodes(graph.NumNodes());
     ASSERT_TRUE(builder.AddBatch(edges.data(), edges.size()).ok);
     IoResult r = builder.Finish();
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_EQ(builder.stats().edges_final, graph.NumEdges());
 
-    ASSERT_TRUE(store::WritePack(mem_pack.path, graph).ok);
-    ASSERT_TRUE(ReadAll(ext_pack.path) == ReadAll(mem_pack.path))
+    ASSERT_TRUE(store::WritePack(mem_pack, graph).ok);
+    ASSERT_TRUE(ReadAll(ext_pack) == ReadAll(mem_pack))
         << spec.name << ": extmem pack not byte-identical";
 
     // Semi-external orderings vs the in-memory kernels.
@@ -101,7 +81,7 @@ TEST_P(ExtmemDifferentialTest, PackAndOrderingsMatchInMemoryPath) {
           order::ComputeOrdering(graph, method, params);
       std::vector<NodeId> got;
       extmem::SemiExternalInfo info;
-      IoResult sr = extmem::SemiExternalOrder(ext_pack.path, method, params,
+      IoResult sr = extmem::SemiExternalOrder(ext_pack, method, params,
                                               &got, &info);
       ASSERT_TRUE(sr.ok) << sr.error;
       EXPECT_TRUE(info.zero_copy);

@@ -16,30 +16,12 @@
 #include <vector>
 
 #include "core/gorder_lib.h"
+#include "test_util.h"
 
 namespace gorder {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string TempPath(const std::string& tag) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  std::string name = std::string("gorder_extmem_") + info->test_suite_name() +
-                     "_" + info->name() + "_" + tag;
-  for (char& c : name) {
-    if (c == '/' || c == '\\') c = '_';
-  }
-  return (fs::temp_directory_path() / name).string();
-}
-
-struct TempFile {
-  explicit TempFile(std::string p) : path(std::move(p)) {}
-  ~TempFile() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  std::string path;
-};
 
 std::string ReadAll(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -54,11 +36,12 @@ std::string ReadAll(const std::string& path) {
 void ExpectPackIdentical(const std::vector<Edge>& edges, NodeId reserve_nodes,
                          const extmem::ExtmemOptions& options,
                          extmem::ExtBuildStats* stats_out = nullptr) {
-  TempFile ext_pack(TempPath("ext.gpack"));
-  TempFile mem_pack(TempPath("mem.gpack"));
+  const ScopedTempDir dir;
+  const std::string ext_pack = dir.Path("ext.gpack");
+  const std::string mem_pack = dir.Path("mem.gpack");
 
   extmem::ExtPackBuilder builder(options);
-  ASSERT_TRUE(builder.Begin(ext_pack.path).ok);
+  ASSERT_TRUE(builder.Begin(ext_pack).ok);
   if (reserve_nodes > 0) builder.ReserveNodes(reserve_nodes);
   for (const Edge& e : edges) ASSERT_TRUE(builder.Add(e.src, e.dst).ok);
   IoResult r = builder.Finish();
@@ -68,22 +51,21 @@ void ExpectPackIdentical(const std::vector<Edge>& edges, NodeId reserve_nodes,
   Graph::Builder mem_builder(reserve_nodes);
   for (const Edge& e : edges) mem_builder.AddEdge(e.src, e.dst);
   const Graph graph = mem_builder.Build();
-  ASSERT_TRUE(store::WritePack(mem_pack.path, graph).ok);
+  ASSERT_TRUE(store::WritePack(mem_pack, graph).ok);
 
-  const std::string ext_bytes = ReadAll(ext_pack.path);
-  const std::string mem_bytes = ReadAll(mem_pack.path);
+  const std::string ext_bytes = ReadAll(ext_pack);
+  const std::string mem_bytes = ReadAll(mem_pack);
   ASSERT_EQ(ext_bytes.size(), mem_bytes.size());
   EXPECT_TRUE(ext_bytes == mem_bytes)
       << "extmem pack differs from in-memory pack";
 
   // The pack must also verify end-to-end (CRCs + fingerprint).
-  EXPECT_TRUE(store::VerifyPack(ext_pack.path).ok);
+  EXPECT_TRUE(store::VerifyPack(ext_pack).ok);
 
   // No scratch debris may survive a successful build.
-  const fs::path dir = fs::path(ext_pack.path).parent_path();
-  for (const auto& entry : fs::directory_iterator(dir)) {
+  for (const auto& entry : fs::directory_iterator(dir.path())) {
     EXPECT_EQ(entry.path().string().find(
-                  fs::path(ext_pack.path).filename().string() + ".fwd"),
+                  fs::path(ext_pack).filename().string() + ".fwd"),
               std::string::npos)
         << "leftover scratch: " << entry.path();
   }
@@ -173,9 +155,10 @@ TEST(ExtCsrTest, LargerShuffledGraphWithTinyBudget) {
 // Text edge-list streaming ingest
 
 TEST(EdgeListStreamTest, MatchesReadEdgeList) {
-  TempFile txt(TempPath("graph.txt"));
+  const ScopedTempDir dir;
+  const std::string txt = dir.Path("graph.txt");
   {
-    std::ofstream out(txt.path);
+    std::ofstream out(txt);
     out << "# comment header\n";
     out << "0 1\n1 2\n% konect comment\n2 0\n";
     out << "  3\t4  trailing junk\n";
@@ -183,13 +166,13 @@ TEST(EdgeListStreamTest, MatchesReadEdgeList) {
     out << "1 2\n";  // duplicate
   }
   Graph expected;
-  ASSERT_TRUE(ReadEdgeList(txt.path, &expected).ok);
+  ASSERT_TRUE(ReadEdgeList(txt, &expected).ok);
 
   std::vector<Edge> streamed;
   NodeId max_node = 0;
   bool saw_node = false;
-  IoResult r = extmem::EdgeListStreamer::Stream(
-      txt.path,
+  IoResult r = StreamEdgeList(
+      txt,
       [&](const Edge* edges, std::size_t count) {
         streamed.insert(streamed.end(), edges, edges + count);
         return IoResult::Ok();
@@ -205,13 +188,14 @@ TEST(EdgeListStreamTest, MatchesReadEdgeList) {
 }
 
 TEST(EdgeListStreamTest, ReportsLineNumberOnError) {
-  TempFile txt(TempPath("bad.txt"));
+  const ScopedTempDir dir;
+  const std::string txt = dir.Path("bad.txt");
   {
-    std::ofstream out(txt.path);
+    std::ofstream out(txt);
     out << "0 1\n1 2\nnot an edge\n2 3\n";
   }
-  IoResult r = extmem::EdgeListStreamer::Stream(
-      txt.path,
+  IoResult r = StreamEdgeList(
+      txt,
       [&](const Edge*, std::size_t) { return IoResult::Ok(); });
   ASSERT_FALSE(r.ok);
   EXPECT_NE(r.error.find(":3:"), std::string::npos) << r.error;
@@ -219,33 +203,35 @@ TEST(EdgeListStreamTest, ReportsLineNumberOnError) {
 }
 
 TEST(EdgeListStreamTest, StreamToPackMatchesInMemoryPipeline) {
-  TempFile txt(TempPath("graph.txt"));
+  const ScopedTempDir dir;
+  const std::string txt = dir.Path("graph.txt");
   {
-    std::ofstream out(txt.path);
+    std::ofstream out(txt);
     Rng rng(3);
     for (int i = 0; i < 5000; ++i) {
       out << rng.Uniform(300) << ' ' << rng.Uniform(300) << '\n';
     }
   }
-  TempFile ext_pack(TempPath("ext.gpack"));
-  TempFile mem_pack(TempPath("mem.gpack"));
+  const std::string ext_pack = dir.Path("ext.gpack");
+  const std::string mem_pack = dir.Path("mem.gpack");
   extmem::ExtBuildStats stats;
-  IoResult r = extmem::StreamEdgeListToPack(txt.path, ext_pack.path,
+  IoResult r = extmem::StreamEdgeListToPack(txt, ext_pack,
                                             TinyOptions(777), &stats);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(stats.edges_ingested, 5000u);
 
   Graph graph;
-  ASSERT_TRUE(ReadEdgeList(txt.path, &graph).ok);
-  ASSERT_TRUE(store::WritePack(mem_pack.path, graph).ok);
-  EXPECT_TRUE(ReadAll(ext_pack.path) == ReadAll(mem_pack.path));
+  ASSERT_TRUE(ReadEdgeList(txt, &graph).ok);
+  ASSERT_TRUE(store::WritePack(mem_pack, graph).ok);
+  EXPECT_TRUE(ReadAll(ext_pack) == ReadAll(mem_pack));
 }
 
 // ---------------------------------------------------------------------------
 // Windowed writer
 
 TEST(WindowedWriterTest, SlidingWindowWritesWholeFile) {
-  TempFile file(TempPath("windowed.bin"));
+  const ScopedTempDir dir;
+  const std::string file = dir.Path("windowed.bin");
   const std::size_t total = 256 * 1024 + 123;
   std::string expect(total, '\0');
   for (std::size_t i = 0; i < total; ++i) {
@@ -253,7 +239,7 @@ TEST(WindowedWriterTest, SlidingWindowWritesWholeFile) {
   }
   extmem::WindowedWriter writer;
   // A 4KB window forces many remaps over 256KB.
-  ASSERT_TRUE(writer.Create(file.path, total, 4096).ok);
+  ASSERT_TRUE(writer.Create(file, total, 4096).ok);
   std::size_t pos = 0;
   std::size_t step = 1;
   while (pos < total) {
@@ -267,27 +253,29 @@ TEST(WindowedWriterTest, SlidingWindowWritesWholeFile) {
   ASSERT_TRUE(writer.Sync().ok);
   writer.Close();
   EXPECT_GT(writer.window_remaps(), 10u);
-  EXPECT_TRUE(ReadAll(file.path) == expect);
+  EXPECT_TRUE(ReadAll(file) == expect);
 }
 
 TEST(WindowedWriterTest, RejectsWritePastEnd) {
-  TempFile file(TempPath("short.bin"));
+  const ScopedTempDir dir;
+  const std::string file = dir.Path("short.bin");
   extmem::WindowedWriter writer;
-  ASSERT_TRUE(writer.Create(file.path, 100, 4096).ok);
+  ASSERT_TRUE(writer.Create(file, 100, 4096).ok);
   char byte = 1;
   EXPECT_FALSE(writer.WriteAt(100, &byte, 1).ok);
   EXPECT_TRUE(writer.WriteAt(99, &byte, 1).ok);
 }
 
 TEST(WindowedWriterTest, UntouchedRangesReadBackAsZeros) {
-  TempFile file(TempPath("sparse.bin"));
+  const ScopedTempDir dir;
+  const std::string file = dir.Path("sparse.bin");
   extmem::WindowedWriter writer;
-  ASSERT_TRUE(writer.Create(file.path, 64 * 1024, 8192).ok);
+  ASSERT_TRUE(writer.Create(file, 64 * 1024, 8192).ok);
   const char marker[4] = {'x', 'y', 'z', 'w'};
   ASSERT_TRUE(writer.WriteAt(60000, marker, sizeof marker).ok);
   ASSERT_TRUE(writer.Sync().ok);
   writer.Close();
-  const std::string bytes = ReadAll(file.path);
+  const std::string bytes = ReadAll(file);
   ASSERT_EQ(bytes.size(), 64u * 1024);
   EXPECT_EQ(bytes[0], '\0');
   EXPECT_EQ(bytes[59999], '\0');
@@ -325,16 +313,17 @@ TEST(StreamRmatTest, DeterministicAndInRange) {
 }
 
 TEST(StreamRmatTest, StreamsIntoExtmemPackBitIdentically) {
+  const ScopedTempDir dir;
   gen::RmatParams params;
   params.scale = 9;
   params.num_edges = 4000;
   const NodeId n = static_cast<NodeId>(1) << params.scale;
 
-  TempFile ext_pack(TempPath("rmat_ext.gpack"));
-  TempFile mem_pack(TempPath("rmat_mem.gpack"));
+  const std::string ext_pack = dir.Path("rmat_ext.gpack");
+  const std::string mem_pack = dir.Path("rmat_mem.gpack");
 
   extmem::ExtPackBuilder builder(TinyOptions(777));
-  ASSERT_TRUE(builder.Begin(ext_pack.path).ok);
+  ASSERT_TRUE(builder.Begin(ext_pack).ok);
   builder.ReserveNodes(n);
   Graph::Builder mem_builder(n);
   IoResult r = gen::StreamRmat(params, 11, 600,
@@ -346,8 +335,8 @@ TEST(StreamRmatTest, StreamsIntoExtmemPackBitIdentically) {
                                });
   ASSERT_TRUE(r.ok) << r.error;
   ASSERT_TRUE(builder.Finish().ok);
-  ASSERT_TRUE(store::WritePack(mem_pack.path, mem_builder.Build()).ok);
-  EXPECT_TRUE(ReadAll(ext_pack.path) == ReadAll(mem_pack.path));
+  ASSERT_TRUE(store::WritePack(mem_pack, mem_builder.Build()).ok);
+  EXPECT_TRUE(ReadAll(ext_pack) == ReadAll(mem_pack));
 }
 
 TEST(StreamRmatTest, PropagatesSinkError) {

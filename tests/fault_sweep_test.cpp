@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "core/gorder_lib.h"
+#include "test_util.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 
@@ -365,18 +366,8 @@ class FaultSweepTest : public ::testing::Test {
     SetLogLevel(LogLevel::kQuiet);  // 100+ narrated runs otherwise
     util::DisarmAllFailpoints();
     util::ResetFailpointCounters();
-    const auto* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    root_ = (fs::temp_directory_path() /
-             (std::string("gorder_fault_sweep_") + info->name()))
-                .string();
-    fs::create_directories(root_);
   }
-  void TearDown() override {
-    util::DisarmAllFailpoints();
-    std::error_code ec;
-    fs::remove_all(root_, ec);
-  }
+  void TearDown() override { util::DisarmAllFailpoints(); }
 
   std::string FreshDir(const std::string& tag) {
     std::string dir = root_ + "/" + tag;
@@ -384,7 +375,8 @@ class FaultSweepTest : public ::testing::Test {
     return dir;
   }
 
-  std::string root_;
+  const ScopedTempDir tmp_;
+  const std::string root_ = tmp_.path().string();
 };
 
 TEST_F(FaultSweepTest, BaselineCoversEveryRegisteredFailpoint) {

@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <vector>
 
@@ -27,12 +26,11 @@
 #include "gen/datasets.h"
 #include "gen/generators.h"
 #include "graph/stats.h"
+#include "test_util.h"
 #include "util/parallel.h"
 
 namespace gorder {
 namespace {
-
-namespace fs = std::filesystem;
 
 struct ThreadGuard {
   explicit ThreadGuard(int n) : saved(NumThreads()) { SetNumThreads(n); }
@@ -77,25 +75,6 @@ gen::RmatParams SmallRmat() {
   return p;
 }
 
-std::string TempPath(const std::string& tag) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  std::string name = std::string("gorder_genchunk_") +
-                     info->test_suite_name() + "_" + info->name() + "_" + tag;
-  for (char& c : name) {
-    if (c == '/' || c == '\\') c = '_';
-  }
-  return (fs::temp_directory_path() / name).string();
-}
-
-struct TempFile {
-  explicit TempFile(std::string p) : path(std::move(p)) {}
-  ~TempFile() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  std::string path;
-};
-
 std::string ReadAll(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.good()) << path;
@@ -115,14 +94,14 @@ TEST(ChunkedDifferentialTest, RmatParallelMatchesSerialReference) {
   gen::ChunkedOptions serial;
   serial.chunk_edges = 1024;
   serial.serial_reference = true;
-  const Collected ref = Drain([&](const gen::EdgeSink& sink) {
+  const Collected ref = Drain([&](const EdgeSink& sink) {
     return gen::StreamRmat(p, 42, serial, sink);
   });
   for (int threads : {2, 8}) {
     ThreadGuard guard(threads);
     gen::ChunkedOptions par;
     par.chunk_edges = 1024;
-    const Collected got = Drain([&](const gen::EdgeSink& sink) {
+    const Collected got = Drain([&](const EdgeSink& sink) {
       return gen::StreamRmat(p, 42, par, sink);
     });
     EXPECT_EQ(ref.edges, got.edges) << threads << " threads";
@@ -134,14 +113,14 @@ TEST(ChunkedDifferentialTest, ErdosRenyiParallelMatchesSerialReference) {
   gen::ChunkedOptions serial;
   serial.chunk_edges = 512;
   serial.serial_reference = true;
-  const Collected ref = Drain([&](const gen::EdgeSink& sink) {
+  const Collected ref = Drain([&](const EdgeSink& sink) {
     return gen::StreamErdosRenyi(300, 9000, 7, serial, sink);
   });
   for (int threads : {2, 8}) {
     ThreadGuard guard(threads);
     gen::ChunkedOptions par;
     par.chunk_edges = 512;
-    const Collected got = Drain([&](const gen::EdgeSink& sink) {
+    const Collected got = Drain([&](const EdgeSink& sink) {
       return gen::StreamErdosRenyi(300, 9000, 7, par, sink);
     });
     EXPECT_EQ(ref.edges, got.edges) << threads << " threads";
@@ -152,14 +131,14 @@ TEST(ChunkedDifferentialTest, BarabasiAlbertParallelMatchesSerialReference) {
   gen::ChunkedOptions serial;
   serial.chunk_edges = 700;  // deliberately not a multiple of out_k
   serial.serial_reference = true;
-  const Collected ref = Drain([&](const gen::EdgeSink& sink) {
+  const Collected ref = Drain([&](const EdgeSink& sink) {
     return gen::StreamBarabasiAlbert(4000, 5, 11, serial, sink);
   });
   for (int threads : {2, 8}) {
     ThreadGuard guard(threads);
     gen::ChunkedOptions par;
     par.chunk_edges = 700;
-    const Collected got = Drain([&](const gen::EdgeSink& sink) {
+    const Collected got = Drain([&](const EdgeSink& sink) {
       return gen::StreamBarabasiAlbert(4000, 5, 11, par, sink);
     });
     EXPECT_EQ(ref.edges, got.edges) << threads << " threads";
@@ -170,10 +149,10 @@ TEST(ChunkedDifferentialTest, BackCompatOverloadMatchesOptionsPath) {
   const gen::RmatParams p = SmallRmat();
   gen::ChunkedOptions options;
   options.chunk_edges = 2048;
-  const Collected a = Drain([&](const gen::EdgeSink& sink) {
+  const Collected a = Drain([&](const EdgeSink& sink) {
     return gen::StreamRmat(p, 9, options, sink);
   });
-  const Collected b = Drain([&](const gen::EdgeSink& sink) {
+  const Collected b = Drain([&](const EdgeSink& sink) {
     return gen::StreamRmat(p, 9, std::size_t{2048}, sink);
   });
   EXPECT_EQ(a.edges, b.edges);
@@ -187,10 +166,10 @@ TEST(ChunkedDifferentialTest, WindowSizeIsInvisibleInOutput) {
   gen::ChunkedOptions big_window;
   big_window.chunk_edges = 256;
   big_window.window_chunks = 64;
-  const Collected a = Drain([&](const gen::EdgeSink& sink) {
+  const Collected a = Drain([&](const EdgeSink& sink) {
     return gen::StreamErdosRenyi(100, 5000, 3, small_window, sink);
   });
-  const Collected b = Drain([&](const gen::EdgeSink& sink) {
+  const Collected b = Drain([&](const EdgeSink& sink) {
     return gen::StreamErdosRenyi(100, 5000, 3, big_window, sink);
   });
   EXPECT_EQ(a.edges, b.edges);
@@ -208,7 +187,7 @@ TEST(ChunkedGoldenTest, ErdosRenyiStreamFingerprint) {
     ThreadGuard guard(threads);
     gen::ChunkedOptions options;
     options.chunk_edges = 1024;
-    const Collected c = Drain([&](const gen::EdgeSink& sink) {
+    const Collected c = Drain([&](const EdgeSink& sink) {
       return gen::StreamErdosRenyi(500, 20000, 42, options, sink);
     });
     EXPECT_EQ(c.edges.size(), 20000u);
@@ -222,7 +201,7 @@ TEST(ChunkedGoldenTest, BarabasiAlbertStreamFingerprint) {
     ThreadGuard guard(threads);
     gen::ChunkedOptions options;
     options.chunk_edges = 1024;
-    const Collected c = Drain([&](const gen::EdgeSink& sink) {
+    const Collected c = Drain([&](const EdgeSink& sink) {
       return gen::StreamBarabasiAlbert(5000, 4, 42, options, sink);
     });
     EXPECT_EQ(FnvEdges(c.edges), 0x6a6235d5ac060c44ULL)
@@ -236,7 +215,7 @@ TEST(ChunkedGoldenTest, RmatStreamFingerprint) {
     ThreadGuard guard(threads);
     gen::ChunkedOptions options;
     options.chunk_edges = 1024;
-    const Collected c = Drain([&](const gen::EdgeSink& sink) {
+    const Collected c = Drain([&](const EdgeSink& sink) {
       return gen::StreamRmat(p, 42, options, sink);
     });
     EXPECT_EQ(FnvEdges(c.edges), 0xcc3c209a28e29127ULL)
@@ -273,7 +252,7 @@ TEST(ChunkedGoldenTest, BarabasiAlbertInMemoryFingerprint) {
 TEST(StreamErdosRenyiTest, ExactPartitionAcrossChunks) {
   gen::ChunkedOptions options;
   options.chunk_edges = 1024;
-  const Collected c = Drain([&](const gen::EdgeSink& sink) {
+  const Collected c = Drain([&](const EdgeSink& sink) {
     return gen::StreamErdosRenyi(60, 2500, 5, options, sink);
   });
   // Every attempt emits exactly one edge: chunks are full-size except
@@ -299,7 +278,7 @@ TEST(StreamErdosRenyiTest, DensityCeilingDoesNotGrind) {
   const EdgeId m = 64 * 63;
   gen::ChunkedOptions options;
   options.chunk_edges = 512;
-  const Collected c = Drain([&](const gen::EdgeSink& sink) {
+  const Collected c = Drain([&](const EdgeSink& sink) {
     return gen::StreamErdosRenyi(n, m, 17, options, sink);
   });
   EXPECT_EQ(c.edges.size(), static_cast<std::size_t>(m));
@@ -399,7 +378,7 @@ TEST(BarabasiAlbertTest, OutDegreesExactlyOutK) {
 TEST(StreamBarabasiAlbertTest, SkewedInDegrees) {
   gen::ChunkedOptions options;
   options.chunk_edges = 4096;
-  const Collected c = Drain([&](const gen::EdgeSink& sink) {
+  const Collected c = Drain([&](const EdgeSink& sink) {
     return gen::StreamBarabasiAlbert(20000, 4, 3, options, sink);
   });
   Graph::Builder builder(20000);
@@ -473,7 +452,7 @@ TEST(HugeDatasetTest, StreamDatasetDeterministicAcrossThreads) {
   for (int threads : {1, 8}) {
     ThreadGuard guard(threads);
     NodeId nodes = 0;
-    const Collected c = Drain([&](const gen::EdgeSink& sink) {
+    const Collected c = Drain([&](const EdgeSink& sink) {
       return gen::StreamDataset("er-huge", 1e-5, 42, options, sink, &nodes);
     });
     EXPECT_GT(nodes, 0u);
@@ -489,22 +468,23 @@ TEST(HugeDatasetTest, StreamDatasetDeterministicAcrossThreads) {
 }
 
 TEST(HugeDatasetTest, PackBitIdenticalAcrossThreadCounts) {
+  const ScopedTempDir dir;
   const gen::RmatParams p = SmallRmat();
   extmem::ExtmemOptions ext;
   ext.mem_budget_bytes = 1 << 20;  // force multi-run external sorts
   std::string reference;
   for (int threads : {1, 2, 8}) {
     ThreadGuard guard(threads);
-    TempFile pack(TempPath("t" + std::to_string(threads) + ".gpack"));
+    const std::string pack = dir.Path("t" + std::to_string(threads) + ".gpack");
     gen::ChunkedOptions options;
     options.chunk_edges = 512;
     IoResult r = extmem::BuildPackFromEdgeStream(
-        [&](const gen::EdgeSink& sink) {
+        [&](const EdgeSink& sink) {
           return gen::StreamRmat(p, 42, options, sink);
         },
-        /*reserve_nodes=*/NodeId{1} << p.scale, pack.path, ext);
+        /*reserve_nodes=*/NodeId{1} << p.scale, pack, ext);
     ASSERT_TRUE(r.ok) << r.error;
-    const std::string bytes = ReadAll(pack.path);
+    const std::string bytes = ReadAll(pack);
     ASSERT_FALSE(bytes.empty());
     if (threads == 1) {
       reference = bytes;

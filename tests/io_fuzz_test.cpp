@@ -1,15 +1,18 @@
 // Randomised robustness tests: malformed edge-list inputs must produce
-// clean errors (never crashes), and DynamicGraph must agree with a naive
-// reference under random mutation sequences.
+// clean errors (never crashes), identically on the in-memory and pack
+// paths, and DynamicGraph must agree with a naive reference under random
+// mutation sequences.
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <set>
+#include <string>
 
+#include "extmem/ext_csr.h"
 #include "graph/dynamic_graph.h"
 #include "graph/edgelist_io.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace gorder {
@@ -18,19 +21,25 @@ namespace {
 class MalformedInputTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(MalformedInputTest, RejectedWithoutCrashing) {
-  auto path = std::filesystem::temp_directory_path() / "gorder_fuzz.txt";
+  const ScopedTempDir tmp;
+  const std::string path = tmp.Path("fuzz.txt");
   {
-    std::ofstream out(path);
+    std::ofstream out(path, std::ios::binary);
     out << GetParam();
   }
   Graph g;
-  IoResult r = ReadEdgeList(path.string(), &g);
+  IoResult r = ReadEdgeList(path, &g);
   // Some inputs are legal-but-weird (accepted); the property under test
   // is: no crash, and on failure a nonempty error message.
   if (!r.ok) {
     EXPECT_FALSE(r.error.empty());
   }
-  std::filesystem::remove(path);
+  // The out-of-core pack path reads the same grammar: same verdict,
+  // same message.
+  IoResult packed =
+      extmem::StreamEdgeListToPack(path, tmp.Path("fuzz.gpack"));
+  EXPECT_EQ(packed.ok, r.ok) << packed.error;
+  EXPECT_EQ(packed.error, r.error);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -44,11 +53,15 @@ INSTANTIATE_TEST_SUITE_P(
                       "1 2\x01\x02\n",                   // binary junk
                       "",                                // empty file
                       "# only a comment\n",              // comments only
-                      "1 2\n\n\n3 4\n"));                // blank lines
+                      "1 2\n\n\n3 4\n",                  // blank lines
+                      "1 2\r\n\r\n3 4\r\n",              // blank CRLF line
+                      "1 2\n   ",                        // trailing blanks
+                      "\r\n"));                          // lone CRLF
 
 TEST(RandomByteStreamTest, BinaryReaderNeverCrashes) {
   Rng rng(77);
-  auto path = std::filesystem::temp_directory_path() / "gorder_fuzz.bin";
+  const ScopedTempDir tmp;
+  const std::string path = tmp.Path("fuzz.bin");
   for (int trial = 0; trial < 20; ++trial) {
     std::ofstream out(path, std::ios::binary);
     int len = 1 + static_cast<int>(rng.Uniform(200));
@@ -58,11 +71,10 @@ TEST(RandomByteStreamTest, BinaryReaderNeverCrashes) {
     }
     out.close();
     Graph g;
-    IoResult r = ReadBinary(path.string(), &g);
+    IoResult r = ReadBinary(path, &g);
     EXPECT_FALSE(r.ok);  // random bytes can't be a valid graph
     EXPECT_FALSE(r.error.empty());
   }
-  std::filesystem::remove(path);
 }
 
 TEST(DynamicGraphFuzzTest, MatchesSetReferenceUnderRandomOps) {

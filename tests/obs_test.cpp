@@ -19,6 +19,7 @@
 #include "obs/report.h"
 #include "obs/reqtrace.h"
 #include "obs/trace.h"
+#include "test_util.h"
 #include "util/parallel.h"
 
 namespace gorder::obs {
@@ -232,9 +233,8 @@ TEST(TraceWriterTest, WritesAtomicallyAndFailsClean) {
   StartCapture();
   { Span s("atomic_phase"); }
   namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::temp_directory_path() / "gorder_obs_atomic_trace_test";
-  fs::create_directories(dir);
+  const ScopedTempDir tmp;
+  const fs::path& dir = tmp.path();
   const std::string trace = (dir / "trace.json").string();
   EXPECT_TRUE(WriteChromeTrace(trace));
   EXPECT_TRUE(fs::exists(trace));
@@ -253,8 +253,6 @@ TEST(TraceWriterTest, WritesAtomicallyAndFailsClean) {
     EXPECT_EQ(entry.path().string().find(".tmp."), std::string::npos)
         << "staging debris: " << entry.path();
   }
-  std::error_code ec;
-  fs::remove_all(dir, ec);
 }
 
 TEST(WindowedHistogramTest, QuantilesOverOneSlot) {

@@ -9,13 +9,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
 #include <fstream>
 #include <vector>
 
 #include "gen/generators.h"
 #include "graph/edgelist_io.h"
 #include "graph/graph.h"
+#include "test_util.h"
 #include "util/rng.h"
 
 namespace gorder {
@@ -256,18 +256,18 @@ TEST(CsrDeterminismTest, ReadEdgeListIdenticalAtAllThreadCounts) {
   ThreadGuard guard;
   Rng rng(13);
   Graph g = gen::BarabasiAlbert(800, 6, rng);
-  auto path = std::filesystem::temp_directory_path() / "gorder_par_io.txt";
-  ASSERT_TRUE(WriteEdgeList(path.string(), g).ok);
+  const ScopedTempDir tmp;
+  const std::string path = tmp.Path("g.txt");
+  ASSERT_TRUE(WriteEdgeList(path, g).ok);
   SetNumThreads(1);
   Graph reference;
-  ASSERT_TRUE(ReadEdgeList(path.string(), &reference).ok);
+  ASSERT_TRUE(ReadEdgeList(path, &reference).ok);
   for (int threads : {2, 8}) {
     SetNumThreads(threads);
     Graph h;
-    ASSERT_TRUE(ReadEdgeList(path.string(), &h).ok);
+    ASSERT_TRUE(ReadEdgeList(path, &h).ok);
     ExpectSameCsr(reference, h);
   }
-  std::filesystem::remove(path);
 }
 
 // ---------------------------------------------------------------------------

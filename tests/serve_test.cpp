@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/gorder_lib.h"
+#include "test_util.h"
 
 namespace gorder::serve {
 namespace {
@@ -247,10 +248,8 @@ TEST_F(ServeTest, NeighborCapAnswersTooLarge) {
 }
 
 TEST_F(ServeTest, SwapPackHotSwapsAtomically) {
-  const std::string dir =
-      (fs::temp_directory_path() / ("gorder_swap_" + std::to_string(::getpid())))
-          .string();
-  fs::create_directories(dir);
+  const ScopedTempDir tmp;
+  const std::string dir = tmp.path().string();
   Graph next = gen::MakeDataset("epinion", 0.05, 2);
   const std::string pack_b = dir + "/b.gpack";
   ASSERT_TRUE(store::WritePack(pack_b, next).ok);
@@ -278,8 +277,6 @@ TEST_F(ServeTest, SwapPackHotSwapsAtomically) {
   EXPECT_EQ(client.SwapPack(dir + "/missing.gpack").status, Status::kInternal);
   EXPECT_EQ(server_->Epoch(), 2u);
   EXPECT_EQ(client.Info().num_edges, next.NumEdges());
-
-  fs::remove_all(dir);
 }
 
 TEST_F(ServeTest, AdminOpcodesCanBeDisabled) {

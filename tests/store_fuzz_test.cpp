@@ -14,27 +14,12 @@
 #include <vector>
 
 #include "core/gorder_lib.h"
+#include "test_util.h"
 
 namespace gorder {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string TempPath(const std::string& tag) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  std::string name = std::string("gorder_storefuzz_") +
-                     info->test_suite_name() + "_" + info->name() + "_" + tag;
-  return (fs::temp_directory_path() / name).string();
-}
-
-struct TempFile {
-  explicit TempFile(std::string p) : path(std::move(p)) {}
-  ~TempFile() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  std::string path;
-};
 
 std::vector<char> ReadAll(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -79,10 +64,11 @@ Graph SmallGraph() { return gen::MakeDataset("epinion", 0.05, 13); }
 // Each flip must either be caught (clean error) or — only for bytes the
 // format genuinely does not interpret — load the identical graph.
 TEST(GpackFuzz, HeaderAndTableBitFlips) {
+  const ScopedTempDir dir;
   Graph g = SmallGraph();
-  TempFile tmp(TempPath("hdrflip") + ".gpack");
-  ASSERT_TRUE(store::WritePack(tmp.path, g).ok);
-  const std::vector<char> orig = ReadAll(tmp.path);
+  const std::string tmp = dir.Path("hdrflip.gpack");
+  ASSERT_TRUE(store::WritePack(tmp, g).ok);
+  const std::vector<char> orig = ReadAll(tmp);
   ASSERT_GT(orig.size(), 192u);
 
   // 64-byte header + 4 * 32-byte section entries.
@@ -91,9 +77,9 @@ TEST(GpackFuzz, HeaderAndTableBitFlips) {
   for (std::size_t i = 0; i < cover; ++i) {
     std::vector<char> mut = orig;
     mut[i] = static_cast<char>(mut[i] ^ 0xFF);
-    WriteAll(tmp.path, mut);
+    WriteAll(tmp, mut);
     Graph loaded;
-    IoResult r = store::LoadPack(tmp.path, &loaded);
+    IoResult r = store::LoadPack(tmp, &loaded);
     if (r.ok) {
       // Unchecked byte: must be content-neutral.
       EXPECT_EQ(g.out_offsets(), loaded.out_offsets()) << "byte " << i;
@@ -107,27 +93,28 @@ TEST(GpackFuzz, HeaderAndTableBitFlips) {
   // must be caught (the only benign flips would be in padding the CRC
   // also covers — i.e. none).
   EXPECT_EQ(caught, static_cast<int>(cover));
-  WriteAll(tmp.path, orig);
-  EXPECT_TRUE(store::VerifyPack(tmp.path).ok);
+  WriteAll(tmp, orig);
+  EXPECT_TRUE(store::VerifyPack(tmp).ok);
 }
 
 // Payload corruption is caught by the per-section CRCs: flip one byte in
 // the middle of every section.
 TEST(GpackFuzz, PayloadBitFlipsAreCaughtBySectionCrcs) {
+  const ScopedTempDir dir;
   Graph g = SmallGraph();
-  TempFile tmp(TempPath("payload") + ".gpack");
-  ASSERT_TRUE(store::WritePack(tmp.path, g).ok);
-  const std::vector<char> orig = ReadAll(tmp.path);
+  const std::string tmp = dir.Path("payload.gpack");
+  ASSERT_TRUE(store::WritePack(tmp, g).ok);
+  const std::vector<char> orig = ReadAll(tmp);
   store::GpackInfo info;
-  ASSERT_TRUE(store::ReadPackInfo(tmp.path, &info).ok);
+  ASSERT_TRUE(store::ReadPackInfo(tmp, &info).ok);
   for (const auto& sec : info.sections) {
     if (sec.bytes == 0) continue;
     SCOPED_TRACE(sec.name);
     std::vector<char> mut = orig;
     mut[sec.offset + sec.bytes / 2] ^= 0x01;
-    WriteAll(tmp.path, mut);
+    WriteAll(tmp, mut);
     Graph loaded;
-    IoResult r = store::LoadPack(tmp.path, &loaded);
+    IoResult r = store::LoadPack(tmp, &loaded);
     EXPECT_FALSE(r.ok);
     if (!r.ok) EXPECT_FALSE(r.error.empty());
   }
@@ -136,12 +123,13 @@ TEST(GpackFuzz, PayloadBitFlipsAreCaughtBySectionCrcs) {
 // Truncate at and around every section boundary, plus a byte-resolution
 // sweep over the first 256 bytes.
 TEST(GpackFuzz, TruncationNeverCrashes) {
+  const ScopedTempDir dir;
   Graph g = SmallGraph();
-  TempFile tmp(TempPath("trunc") + ".gpack");
-  ASSERT_TRUE(store::WritePack(tmp.path, g).ok);
-  const std::vector<char> orig = ReadAll(tmp.path);
+  const std::string tmp = dir.Path("trunc.gpack");
+  ASSERT_TRUE(store::WritePack(tmp, g).ok);
+  const std::vector<char> orig = ReadAll(tmp);
   store::GpackInfo info;
-  ASSERT_TRUE(store::ReadPackInfo(tmp.path, &info).ok);
+  ASSERT_TRUE(store::ReadPackInfo(tmp, &info).ok);
 
   std::vector<std::size_t> cuts = {0, 1, 63, 64, 65, 191, 192, 193,
                                    orig.size() - 1};
@@ -156,33 +144,34 @@ TEST(GpackFuzz, TruncationNeverCrashes) {
   for (std::size_t cut : cuts) {
     if (cut >= orig.size()) continue;
     SCOPED_TRACE(cut);
-    WriteAll(tmp.path,
+    WriteAll(tmp,
              std::vector<char>(orig.begin(), orig.begin() + cut));
-    EXPECT_FALSE(ProbeAllLoaders(tmp.path));
+    EXPECT_FALSE(ProbeAllLoaders(tmp));
   }
 }
 
 TEST(GpackFuzz, WrongMagicAndVersionAreRejected) {
+  const ScopedTempDir dir;
   Graph g = SmallGraph();
-  TempFile tmp(TempPath("magic") + ".gpack");
-  ASSERT_TRUE(store::WritePack(tmp.path, g).ok);
-  std::vector<char> orig = ReadAll(tmp.path);
+  const std::string tmp = dir.Path("magic.gpack");
+  ASSERT_TRUE(store::WritePack(tmp, g).ok);
+  std::vector<char> orig = ReadAll(tmp);
 
   {
     std::vector<char> mut = orig;
     mut[0] = 'X';  // magic
-    WriteAll(tmp.path, mut);
+    WriteAll(tmp, mut);
     Graph loaded;
-    IoResult r = store::LoadPack(tmp.path, &loaded);
+    IoResult r = store::LoadPack(tmp, &loaded);
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.error.find("magic"), std::string::npos) << r.error;
   }
   {
     std::vector<char> mut = orig;
     mut[8] = static_cast<char>(store::kGpackFormatVersion + 1);  // version
-    WriteAll(tmp.path, mut);
+    WriteAll(tmp, mut);
     Graph loaded;
-    IoResult r = store::LoadPack(tmp.path, &loaded);
+    IoResult r = store::LoadPack(tmp, &loaded);
     EXPECT_FALSE(r.ok);
     // A future format version must name the mismatch, not "corrupt".
     EXPECT_NE(r.error.find("version"), std::string::npos) << r.error;
@@ -199,10 +188,11 @@ TEST(GpackFuzz, WrongMagicAndVersionAreRejected) {
 // flags (adjacent mappings absorb the reads), hence the assertion on
 // the specific rejection reason rather than on a crash.
 TEST(GpackFuzz, HugeEdgeCountCannotWrapSectionSizeValidation) {
+  const ScopedTempDir dir;
   Graph g = SmallGraph();
-  TempFile tmp(TempPath("overflow") + ".gpack");
-  ASSERT_TRUE(store::WritePack(tmp.path, g).ok);
-  const std::vector<char> orig = ReadAll(tmp.path);
+  const std::string tmp = dir.Path("overflow.gpack");
+  ASSERT_TRUE(store::WritePack(tmp, g).ok);
+  const std::vector<char> orig = ReadAll(tmp);
   ASSERT_GT(orig.size(), 192u);  // 64-byte header + 4 * 32-byte entries
 
   auto refresh_header_crc = [](std::vector<char>& bytes) {
@@ -216,7 +206,7 @@ TEST(GpackFuzz, HugeEdgeCountCannotWrapSectionSizeValidation) {
   };
 
   store::GpackInfo info;
-  ASSERT_TRUE(store::ReadPackInfo(tmp.path, &info).ok);
+  ASSERT_TRUE(store::ReadPackInfo(tmp, &info).ok);
 
   for (std::uint64_t m :
        {std::uint64_t{1} << 62, std::uint64_t{1} << 63, ~std::uint64_t{0}}) {
@@ -254,17 +244,18 @@ TEST(GpackFuzz, HugeEdgeCountCannotWrapSectionSizeValidation) {
       }
     }
     refresh_header_crc(mut);
-    WriteAll(tmp.path, mut);
+    WriteAll(tmp, mut);
     Graph loaded;
-    IoResult r = store::LoadPack(tmp.path, &loaded);
+    IoResult r = store::LoadPack(tmp, &loaded);
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.error.find("implausible"), std::string::npos) << r.error;
-    EXPECT_FALSE(ProbeAllLoaders(tmp.path));
+    EXPECT_FALSE(ProbeAllLoaders(tmp));
   }
 }
 
 TEST(GpackFuzz, RandomByteStreamsNeverCrash) {
-  TempFile tmp(TempPath("random") + ".gpack");
+  const ScopedTempDir dir;
+  const std::string tmp = dir.Path("random.gpack");
   Rng rng(2026);
   for (int trial = 0; trial < 50; ++trial) {
     std::size_t len = 1 + static_cast<std::size_t>(rng.Uniform(4096));
@@ -274,24 +265,26 @@ TEST(GpackFuzz, RandomByteStreamsNeverCrash) {
     if (trial % 3 == 0 && len >= 8) {
       std::memcpy(bytes.data(), "GPACKBIN", 8);
     }
-    WriteAll(tmp.path, bytes);
-    EXPECT_FALSE(ProbeAllLoaders(tmp.path));
+    WriteAll(tmp, bytes);
+    EXPECT_FALSE(ProbeAllLoaders(tmp));
   }
 }
 
 TEST(GpackFuzz, MissingFileIsACleanError) {
+  const ScopedTempDir dir;
   Graph g;
-  IoResult r = store::LoadPack(TempPath("nonexistent") + ".gpack", &g);
+  IoResult r = store::LoadPack(dir.Path("nonexistent.gpack"), &g);
   EXPECT_FALSE(r.ok);
   EXPECT_FALSE(r.error.empty());
-  EXPECT_FALSE(store::VerifyPack(TempPath("nonexistent") + ".gpack").ok);
+  EXPECT_FALSE(store::VerifyPack(dir.Path("nonexistent.gpack")).ok);
 }
 
 // .gperm artifacts: corruption in any byte must degrade to a cache miss,
 // never a crash or a bogus permutation.
 TEST(GpermFuzz, CorruptArtifactsAreMisses) {
-  TempFile root(TempPath("store"));
-  store::Store s(root.path);
+  const ScopedTempDir dir;
+  const std::string root = dir.Path("store");
+  store::Store s(root);
   Graph g = SmallGraph();
   const auto fp = store::GraphFingerprint(g);
   order::OrderingParams params;
@@ -330,8 +323,9 @@ TEST(GpermFuzz, CorruptArtifactsAreMisses) {
 // An artifact whose payload is a valid CRC-match but not a permutation
 // (duplicate ids) must be rejected by the semantic check.
 TEST(GpermFuzz, NonPermutationPayloadIsRejected) {
-  TempFile root(TempPath("store"));
-  store::Store s(root.path);
+  const ScopedTempDir dir;
+  const std::string root = dir.Path("store");
+  store::Store s(root);
   Graph g = SmallGraph();
   const auto fp = store::GraphFingerprint(g);
   order::OrderingParams params;

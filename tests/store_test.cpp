@@ -12,33 +12,12 @@
 #include <vector>
 
 #include "core/gorder_lib.h"
+#include "test_util.h"
 
 namespace gorder {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Per-test unique temp path (tests run concurrently under ctest -j;
-/// shared fixed names collide).
-std::string TempPath(const std::string& tag) {
-  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-  std::string name = std::string("gorder_store_") + info->test_suite_name() +
-                     "_" + info->name() + "_" + tag;
-  for (char& c : name) {
-    if (c == '/' || c == '\\') c = '_';
-  }
-  return (fs::temp_directory_path() / name).string();
-}
-
-/// RAII deleter so failed tests don't leak files into /tmp.
-struct TempFile {
-  explicit TempFile(std::string p) : path(std::move(p)) {}
-  ~TempFile() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  std::string path;
-};
 
 void ExpectSameCsr(const Graph& a, const Graph& b) {
   ASSERT_EQ(a.NumNodes(), b.NumNodes());
@@ -73,17 +52,18 @@ std::vector<std::pair<std::string, Graph>> InterestingGraphs() {
 }
 
 TEST(GpackRoundTrip, MmapAndCopyAreBitIdentical) {
+  const ScopedTempDir dir;
   for (auto& [tag, g] : InterestingGraphs()) {
     SCOPED_TRACE(tag);
-    TempFile tmp(TempPath(tag) + ".gpack");
-    ASSERT_TRUE(store::WritePack(tmp.path, g).ok);
+    const std::string tmp = dir.Path(tag + ".gpack");
+    ASSERT_TRUE(store::WritePack(tmp, g).ok);
 
     Graph mapped;
-    ASSERT_TRUE(store::LoadPack(tmp.path, &mapped, store::LoadMode::kMmap).ok);
+    ASSERT_TRUE(store::LoadPack(tmp, &mapped, store::LoadMode::kMmap).ok);
     ExpectSameCsr(g, mapped);
 
     Graph copied;
-    ASSERT_TRUE(store::LoadPack(tmp.path, &copied, store::LoadMode::kCopy).ok);
+    ASSERT_TRUE(store::LoadPack(tmp, &copied, store::LoadMode::kCopy).ok);
     ExpectSameCsr(g, copied);
     EXPECT_FALSE(copied.IsMapped());
 
@@ -92,10 +72,10 @@ TEST(GpackRoundTrip, MmapAndCopyAreBitIdentical) {
       ASSERT_EQ(g.OutDegree(v), mapped.OutDegree(v));
       ASSERT_EQ(g.InDegree(v), mapped.InDegree(v));
     }
-    EXPECT_TRUE(store::VerifyPack(tmp.path).ok);
+    EXPECT_TRUE(store::VerifyPack(tmp).ok);
 
     store::GpackInfo info;
-    ASSERT_TRUE(store::ReadPackInfo(tmp.path, &info).ok);
+    ASSERT_TRUE(store::ReadPackInfo(tmp, &info).ok);
     EXPECT_EQ(info.format_version, store::kGpackFormatVersion);
     EXPECT_EQ(info.num_nodes, g.NumNodes());
     EXPECT_EQ(info.num_edges, g.NumEdges());
@@ -105,13 +85,14 @@ TEST(GpackRoundTrip, MmapAndCopyAreBitIdentical) {
 }
 
 TEST(GpackRoundTrip, AllRegisteredDatasetsSmallScale) {
+  const ScopedTempDir dir;
   for (const auto& spec : gen::AllDatasets()) {
     SCOPED_TRACE(spec.name);
     Graph g = gen::MakeDataset(spec.name, 0.02, 3);
-    TempFile tmp(TempPath(spec.name) + ".gpack");
-    ASSERT_TRUE(store::WritePack(tmp.path, g).ok);
+    const std::string tmp = dir.Path(spec.name + ".gpack");
+    ASSERT_TRUE(store::WritePack(tmp, g).ok);
     Graph mapped;
-    ASSERT_TRUE(store::LoadPack(tmp.path, &mapped).ok);
+    ASSERT_TRUE(store::LoadPack(tmp, &mapped).ok);
     ExpectSameCsr(g, mapped);
     EXPECT_TRUE(mapped.IsMapped());
   }
@@ -120,12 +101,29 @@ TEST(GpackRoundTrip, AllRegisteredDatasetsSmallScale) {
 // The serving contract behind zero-copy loading: every kernel produces
 // bit-identical results on an owned and an mmap-backed graph, at every
 // thread count.
+// store.pack_write_bytes counts the bytes of the pack on disk. The file
+// ends at the last payload byte, not at a 64-byte section boundary, so
+// a graph whose m * 4 is not a multiple of 64 tells the two apart.
+TEST(GpackRoundTrip, PackWriteBytesCounterEqualsFileSize) {
+  const ScopedTempDir dir;
+  const Graph g =
+      Graph::FromEdges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}});
+  ASSERT_NE(g.NumEdges() * sizeof(NodeId) % 64, 0u);
+  obs::SetEnabledForTest(true);
+  const obs::Counter& written = obs::GetCounter("store.pack_write_bytes");
+  const std::uint64_t before = written.Value();
+  const std::string pack = dir.Path("odd.gpack");
+  ASSERT_TRUE(store::WritePack(pack, g).ok);
+  EXPECT_EQ(written.Value() - before, fs::file_size(pack));
+}
+
 TEST(GpackKernels, IdenticalOwnedVsMappedAtAnyThreadCount) {
+  const ScopedTempDir dir;
   Graph g = gen::MakeDataset("flickr", 0.08, 11);
-  TempFile tmp(TempPath("kernels") + ".gpack");
-  ASSERT_TRUE(store::WritePack(tmp.path, g).ok);
+  const std::string tmp = dir.Path("kernels.gpack");
+  ASSERT_TRUE(store::WritePack(tmp, g).ok);
   Graph mapped;
-  ASSERT_TRUE(store::LoadPack(tmp.path, &mapped).ok);
+  ASSERT_TRUE(store::LoadPack(tmp, &mapped).ok);
   ASSERT_TRUE(mapped.IsMapped());
 
   const int before = NumThreads();
@@ -158,11 +156,12 @@ TEST(GpackKernels, IdenticalOwnedVsMappedAtAnyThreadCount) {
 // Relabel of a mapped graph must materialise an owned graph with the
 // same content as relabelling the owned original.
 TEST(GpackKernels, RelabelOfMappedGraph) {
+  const ScopedTempDir dir;
   Graph g = gen::MakeDataset("epinion", 0.1, 5);
-  TempFile tmp(TempPath("relabel") + ".gpack");
-  ASSERT_TRUE(store::WritePack(tmp.path, g).ok);
+  const std::string tmp = dir.Path("relabel.gpack");
+  ASSERT_TRUE(store::WritePack(tmp, g).ok);
   Graph mapped;
-  ASSERT_TRUE(store::LoadPack(tmp.path, &mapped).ok);
+  ASSERT_TRUE(store::LoadPack(tmp, &mapped).ok);
 
   order::OrderingParams params;
   auto perm = order::ComputeOrdering(g, order::Method::kGorder, params);
@@ -173,6 +172,7 @@ TEST(GpackKernels, RelabelOfMappedGraph) {
 }
 
 TEST(Fingerprint, StableAndContentSensitive) {
+  const ScopedTempDir dir;
   Graph g1 = Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}});
   Graph g2 = Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}});
   Graph g3 = Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 0}});  // one edge off
@@ -185,10 +185,10 @@ TEST(Fingerprint, StableAndContentSensitive) {
 
   // The fingerprint is part of the on-disk format: a mapped reload must
   // reproduce it exactly.
-  TempFile tmp(TempPath("fp") + ".gpack");
-  ASSERT_TRUE(store::WritePack(tmp.path, g1).ok);
+  const std::string tmp = dir.Path("fp.gpack");
+  ASSERT_TRUE(store::WritePack(tmp, g1).ok);
   Graph mapped;
-  ASSERT_TRUE(store::LoadPack(tmp.path, &mapped).ok);
+  ASSERT_TRUE(store::LoadPack(tmp, &mapped).ok);
   EXPECT_EQ(f1, store::GraphFingerprint(mapped));
 }
 
@@ -202,8 +202,9 @@ TEST(Crc32, KnownVectorAndStreaming) {
 }
 
 TEST(OrderingCache, SaveThenLoadRoundTrip) {
-  TempFile root(TempPath("store"));
-  store::Store s(root.path);
+  const ScopedTempDir dir;
+  const std::string root = dir.Path("store");
+  store::Store s(root);
   Graph g = gen::MakeDataset("epinion", 0.1, 9);
   const auto fp = store::GraphFingerprint(g);
   order::OrderingParams params;
@@ -222,8 +223,9 @@ TEST(OrderingCache, SaveThenLoadRoundTrip) {
 }
 
 TEST(OrderingCache, KeyMismatchesAreMisses) {
-  TempFile root(TempPath("store"));
-  store::Store s(root.path);
+  const ScopedTempDir dir;
+  const std::string root = dir.Path("store");
+  store::Store s(root);
   Graph g = gen::MakeDataset("epinion", 0.1, 9);
   const auto fp = store::GraphFingerprint(g);
   order::OrderingParams params;
@@ -296,8 +298,9 @@ TEST(OrderingCache, ParamsHashCoversEveryField) {
 }
 
 TEST(StoreDatasets, MissThenHitProducesIdenticalGraph) {
-  TempFile root(TempPath("store"));
-  store::Store s(root.path);
+  const ScopedTempDir dir;
+  const std::string root = dir.Path("store");
+  store::Store s(root);
   Graph direct = gen::MakeDataset("epinion", 0.1, 42);
 
   Graph miss = s.GetDataset("epinion", 0.1, 42);  // generates + packs
@@ -315,8 +318,9 @@ TEST(StoreDatasets, MissThenHitProducesIdenticalGraph) {
 }
 
 TEST(StoreDatasets, CorruptPackRegeneratesInsteadOfFailing) {
-  TempFile root(TempPath("store"));
-  store::Store s(root.path);
+  const ScopedTempDir dir;
+  const std::string root = dir.Path("store");
+  store::Store s(root);
   Graph direct = gen::MakeDataset("epinion", 0.1, 42);
   (void)s.GetDataset("epinion", 0.1, 42);
 
