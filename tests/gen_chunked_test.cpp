@@ -223,6 +223,38 @@ TEST(ChunkedGoldenTest, RmatStreamFingerprint) {
   }
 }
 
+TEST(ChunkedGoldenTest, HugeTierStreamFingerprints) {
+  // The huge-tier streams (what `ingest` packs) at a tiny scale: the
+  // registry arithmetic (n, m, R-MAT scale, out_k) and the name-hashed
+  // stream seed are frozen along with the samplers.
+  struct Case {
+    const char* name;
+    NodeId nodes;
+    std::size_t edges;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {"rmat-huge", 512, 10601, 0xf45684b79cc49ac7ULL},
+      {"er-huge", 671, 10737, 0x67f2d76394bcec21ULL},
+      {"ba-huge", 671, 10689, 0x62f89acf81940264ULL},
+  };
+  for (const Case& want : cases) {
+    for (int threads : {1, 2, 8}) {
+      ThreadGuard guard(threads);
+      gen::ChunkedOptions options;
+      options.chunk_edges = 2048;
+      NodeId nodes = 0;
+      const Collected c = Drain([&](const EdgeSink& sink) {
+        return gen::StreamDataset(want.name, 1e-5, 42, options, sink, &nodes);
+      });
+      EXPECT_EQ(nodes, want.nodes) << want.name;
+      EXPECT_EQ(c.edges.size(), want.edges) << want.name;
+      EXPECT_EQ(FnvEdges(c.edges), want.hash)
+          << want.name << " at " << threads << " threads";
+    }
+  }
+}
+
 TEST(ChunkedGoldenTest, PlantedPartitionDatasetFingerprint) {
   // The planted-partition stand-in (pokec) generates serially; the graph
   // build and crawl relabel behind MakeDataset use the shared pool, so
