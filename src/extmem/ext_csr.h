@@ -81,12 +81,6 @@ IoResult StreamEdgeListToPack(const std::string& edge_path,
                               const ExtmemOptions& options = {},
                               ExtBuildStats* stats = nullptr);
 
-/// An edge-producing stream: invoked once with a sink, pushes every
-/// edge chunk through it, propagating the first sink error. The chunked
-/// generators (gen/chunked.h) curry into this shape:
-///   [&](const auto& sink) { return gen::StreamRmat(p, seed, opt, sink); }
-using EdgeStreamFn = std::function<IoResult(const EdgeSink&)>;
-
 /// Sink adapter from any edge stream to a finished pack: begins an
 /// external build, reserves `reserve_nodes`, feeds every chunk the
 /// stream produces into the builder, then merges and commits. A

@@ -1,8 +1,9 @@
 #include "gen/chunked.h"
 
 #include <algorithm>
+#include <functional>
+#include <vector>
 
-#include "gen/generators.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 
@@ -21,6 +22,33 @@ std::uint64_t HashDraw(std::uint64_t seed, std::uint64_t index,
   const std::uint64_t x = sm.Next();
   return static_cast<std::uint64_t>(
       (static_cast<unsigned __int128>(x) * bound) >> 64);
+}
+
+/// One R-MAT edge sample: recursive quadrant descent with
+/// multiplicative noise (+-10%) per level. `d = 1 - a - b - c`.
+Edge SampleRmatEdge(const RmatParams& params, double d, Rng& rng) {
+  NodeId src = 0, dst = 0;
+  for (int level = 0; level < params.scale; ++level) {
+    double na = params.a * (0.9 + 0.2 * rng.UniformDouble());
+    double nb = params.b * (0.9 + 0.2 * rng.UniformDouble());
+    double nc = params.c * (0.9 + 0.2 * rng.UniformDouble());
+    double nd = d * (0.9 + 0.2 * rng.UniformDouble());
+    double total = na + nb + nc + nd;
+    double r = rng.UniformDouble() * total;
+    src <<= 1;
+    dst <<= 1;
+    if (r < na) {
+      // top-left quadrant: no bits set
+    } else if (r < na + nb) {
+      dst |= 1;
+    } else if (r < na + nb + nc) {
+      src |= 1;
+    } else {
+      src |= 1;
+      dst |= 1;
+    }
+  }
+  return {src, dst};
 }
 
 }  // namespace
@@ -49,8 +77,13 @@ std::uint64_t MixParamsSeed(const char* tag, std::uint64_t seed,
   return sm.Next();
 }
 
-namespace internal {
+namespace {
 
+/// The generic chunk runner: `total_attempts` edge-attempt indices
+/// split into chunk_edges-sized chunks, `produce(chunk, first, count,
+/// out)` filling each chunk's buffer (must depend only on its
+/// arguments), delivery to `sink` in ascending chunk order. Stops at the
+/// first sink error.
 IoResult RunChunked(
     std::uint64_t total_attempts, const ChunkedOptions& options,
     const std::function<void(std::uint64_t chunk, std::uint64_t first,
@@ -67,9 +100,7 @@ IoResult RunChunked(
     *count = std::min<std::uint64_t>(chunk_edges, total_attempts - *first);
   };
 
-  const int threads = options.max_threads > 0
-                          ? std::min(options.max_threads, NumThreads())
-                          : NumThreads();
+  const int threads = NumThreads();
   if (options.serial_reference || threads <= 1) {
     // The retained serial reference: a straight-line loop, structurally
     // the PR 9 StreamRmat shape. The parallel driver below must match
@@ -110,8 +141,7 @@ IoResult RunChunked(
             buffers[i].clear();
             produce(c, first, count, &buffers[i]);
           }
-        },
-        options.max_threads);
+        });
     for (std::uint64_t i = 0; i < batch; ++i) {
       if (buffers[i].empty()) continue;
       if (IoResult r = sink(buffers[i].data(), buffers[i].size()); !r.ok) {
@@ -121,6 +151,9 @@ IoResult RunChunked(
   }
   return IoResult::Ok();
 }
+
+// Per-chunk producers: concatenating chunks 0..k of one of these
+// serially is the delivered stream, bit for bit.
 
 void RmatChunk(const RmatParams& params, std::uint64_t seed,
                std::uint64_t chunk_index, std::uint64_t attempts,
@@ -150,10 +183,9 @@ void ErdosRenyiChunk(NodeId n, std::uint64_t stream_seed,
   }
 }
 
-void BarabasiAlbertChunk(NodeId n, NodeId out_k, std::uint64_t stream_seed,
+void BarabasiAlbertChunk(NodeId out_k, std::uint64_t stream_seed,
                          std::uint64_t first_edge, std::uint64_t count,
                          std::vector<Edge>* out) {
-  (void)n;
   out->reserve(out->size() + count);
   for (std::uint64_t i = first_edge; i < first_edge + count; ++i) {
     const NodeId src = static_cast<NodeId>(i / out_k);
@@ -162,26 +194,19 @@ void BarabasiAlbertChunk(NodeId n, NodeId out_k, std::uint64_t stream_seed,
   }
 }
 
-}  // namespace internal
+}  // namespace
 
 IoResult StreamRmat(const RmatParams& params, std::uint64_t seed,
                     const ChunkedOptions& options, const EdgeSink& sink) {
   GORDER_CHECK(params.scale >= 1 && params.scale < 31);
   GORDER_CHECK(1.0 - params.a - params.b - params.c > 0.0);
-  return internal::RunChunked(
+  return RunChunked(
       params.num_edges, options,
       [&params, seed](std::uint64_t chunk, std::uint64_t /*first*/,
                       std::uint64_t count, std::vector<Edge>* out) {
-        internal::RmatChunk(params, seed, chunk, count, out);
+        RmatChunk(params, seed, chunk, count, out);
       },
       sink);
-}
-
-IoResult StreamRmat(const RmatParams& params, std::uint64_t seed,
-                    std::size_t chunk_edges, const EdgeSink& sink) {
-  ChunkedOptions options;
-  options.chunk_edges = chunk_edges;
-  return StreamRmat(params, seed, options, sink);
 }
 
 IoResult StreamErdosRenyi(NodeId n, EdgeId m, std::uint64_t seed,
@@ -194,11 +219,11 @@ IoResult StreamErdosRenyi(NodeId n, EdgeId m, std::uint64_t seed,
   GORDER_CHECK(m <= max_edges && "ErdosRenyi: m exceeds n*(n-1)");
   const std::uint64_t stream_seed =
       MixParamsSeed("er", seed, {n, m});
-  return internal::RunChunked(
+  return RunChunked(
       m, options,
       [n, stream_seed](std::uint64_t chunk, std::uint64_t /*first*/,
                        std::uint64_t count, std::vector<Edge>* out) {
-        internal::ErdosRenyiChunk(n, stream_seed, chunk, count, out);
+        ErdosRenyiChunk(n, stream_seed, chunk, count, out);
       },
       sink);
 }
@@ -227,14 +252,30 @@ IoResult StreamBarabasiAlbert(NodeId n, NodeId out_k, std::uint64_t seed,
       static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(out_k);
   const std::uint64_t stream_seed =
       MixParamsSeed("ba", seed, {n, out_k});
-  return internal::RunChunked(
+  return RunChunked(
       total, options,
-      [n, out_k, stream_seed](std::uint64_t /*chunk*/, std::uint64_t first,
-                              std::uint64_t count, std::vector<Edge>* out) {
-        internal::BarabasiAlbertChunk(n, out_k, stream_seed, first, count,
-                                      out);
+      [out_k, stream_seed](std::uint64_t /*chunk*/, std::uint64_t first,
+                           std::uint64_t count, std::vector<Edge>* out) {
+        BarabasiAlbertChunk(out_k, stream_seed, first, count, out);
       },
       sink);
+}
+
+Graph BuildGraphFromEdgeStream(const EdgeStreamFn& stream, NodeId num_nodes,
+                               EdgeId reserve_edges) {
+  Graph::Builder builder(num_nodes);
+  const IoResult r = stream([&](const Edge* edges, std::size_t count) {
+    // Reserved at the first batch, after the stream has checked its
+    // arguments: an infeasible request fails its CHECK, not the
+    // allocator.
+    if (builder.num_pending_edges() == 0) builder.ReserveEdges(reserve_edges);
+    for (std::size_t i = 0; i < count; ++i) {
+      builder.AddEdge(edges[i].src, edges[i].dst);
+    }
+    return IoResult::Ok();
+  });
+  GORDER_CHECK(r.ok && "edge stream failed");
+  return builder.Build();
 }
 
 }  // namespace gorder::gen

@@ -20,17 +20,24 @@
 /// extmem::ExtPackBuilder) need no locking.
 
 #include <cstdint>
-#include <functional>
-#include <vector>
+#include <initializer_list>
 
-#include "graph/edgelist_io.h"  // EdgeSink
+#include "graph/edgelist_io.h"  // EdgeSink, EdgeStreamFn
 #include "graph/graph.h"
 #include "util/io_result.h"
 #include "util/rng.h"
 
 namespace gorder::gen {
 
-struct RmatParams;  // generators.h
+/// R-MAT / Kronecker parameters (Chakrabarti et al., SDM 2004):
+/// `num_edges` samples by recursive quadrant descent over a
+/// 2^scale x 2^scale adjacency matrix with probabilities (a, b, c, d)
+/// and multiplicative noise.
+struct RmatParams {
+  int scale = 16;          // n = 2^scale
+  EdgeId num_edges = 1 << 20;
+  double a = 0.57, b = 0.19, c = 0.19;  // d = 1 - a - b - c
+};
 
 /// Knobs for the chunked drivers. Defaults suit the out-of-core
 /// pipeline: 2 MiB of edges per chunk, window sized from the thread
@@ -43,8 +50,6 @@ struct ChunkedOptions {
   /// max(4, 2 * threads). Affects only scheduling and peak RAM, never
   /// output.
   std::size_t window_chunks = 0;
-  /// Thread cap for this stream (0 = the global pool budget).
-  int max_threads = 0;
   /// Runs the retained straight-line serial loop instead of the
   /// windowed parallel driver. Same output by contract; the
   /// differential tests pin the parallel driver against this path.
@@ -62,16 +67,12 @@ std::uint64_t ChunkSeed(std::uint64_t seed, std::uint64_t chunk_index);
 std::uint64_t MixParamsSeed(const char* tag, std::uint64_t seed,
                             std::initializer_list<std::uint64_t> params);
 
-/// Chunked R-MAT (Chakrabarti et al.): `params.num_edges` quadrant-
-/// descent samples, self-loop attempts skipped. Deterministic in
-/// (params, seed, chunk_edges); identical to the serial StreamRmat of
-/// PR 9 chunk for chunk.
+/// Chunked R-MAT: `params.num_edges` quadrant-descent samples with
+/// +-10% noise per level (which avoids the degree staircase of
+/// noiseless R-MAT), self-loop attempts skipped. Deterministic in
+/// (params, seed, chunk_edges).
 IoResult StreamRmat(const RmatParams& params, std::uint64_t seed,
                     const ChunkedOptions& options, const EdgeSink& sink);
-
-/// Back-compat wrapper (the PR 9 signature).
-IoResult StreamRmat(const RmatParams& params, std::uint64_t seed,
-                    std::size_t chunk_edges, const EdgeSink& sink);
 
 /// Chunked G(n, m): exactly m uniform non-self-loop edge samples, the
 /// sample count partitioned exactly across chunks (chunk c draws the
@@ -94,9 +95,7 @@ IoResult StreamErdosRenyi(NodeId n, EdgeId m, std::uint64_t seed,
 /// the model parallelises with zero communication. Self-loop samples
 /// (including the degenerate first edge) are skipped; duplicate
 /// (v, dst) samples survive to downstream dedup, so out-degrees can
-/// undershoot out_k slightly. This is a *different random process* from
-/// the sequential in-memory BarabasiAlbert — same model family, not the
-/// same graph.
+/// undershoot out_k slightly.
 IoResult StreamBarabasiAlbert(NodeId n, NodeId out_k, std::uint64_t seed,
                               const ChunkedOptions& options,
                               const EdgeSink& sink);
@@ -107,33 +106,13 @@ IoResult StreamBarabasiAlbert(NodeId n, NodeId out_k, std::uint64_t seed,
 NodeId BarabasiAlbertTarget(std::uint64_t stream_seed, NodeId out_k,
                             std::uint64_t edge_index);
 
-namespace internal {
-
-/// Per-chunk producers, exposed for the chunked-vs-serial differential
-/// tests: concatenating chunk 0..k of one of these serially must equal
-/// the driver's delivered stream bit for bit.
-void RmatChunk(const RmatParams& params, std::uint64_t seed,
-               std::uint64_t chunk_index, std::uint64_t attempts,
-               std::vector<Edge>* out);
-void ErdosRenyiChunk(NodeId n, std::uint64_t stream_seed,
-                     std::uint64_t chunk_index, std::uint64_t attempts,
-                     std::vector<Edge>* out);
-void BarabasiAlbertChunk(NodeId n, NodeId out_k, std::uint64_t stream_seed,
-                         std::uint64_t first_edge, std::uint64_t count,
-                         std::vector<Edge>* out);
-
-/// The generic driver: `total_attempts` edge-attempt indices split into
-/// chunk_edges-sized chunks, `produce(chunk, first, count, out)` filling
-/// each chunk's buffer (must depend only on its arguments), delivery to
-/// `sink` in ascending chunk order. Stops at the first sink error.
-IoResult RunChunked(
-    std::uint64_t total_attempts, const ChunkedOptions& options,
-    const std::function<void(std::uint64_t chunk, std::uint64_t first,
-                             std::uint64_t count, std::vector<Edge>*)>&
-        produce,
-    const EdgeSink& sink);
-
-}  // namespace internal
+/// Drains `stream` into an in-memory Graph over `num_nodes` nodes,
+/// reserving `reserve_edges` when the first batch arrives; the builder
+/// drops self-loops and duplicate edges. The in-RAM counterpart of
+/// extmem::BuildPackFromEdgeStream, and the only way the in-memory
+/// generators (generators.h) sample ER, BA and R-MAT.
+Graph BuildGraphFromEdgeStream(const EdgeStreamFn& stream, NodeId num_nodes,
+                               EdgeId reserve_edges);
 
 }  // namespace gorder::gen
 

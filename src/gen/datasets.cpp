@@ -19,6 +19,48 @@ std::uint64_t HashName(const std::string& name) {
   return h;
 }
 
+/// Node and edge-attempt counts of `spec` at `scale`.
+struct Sizes {
+  NodeId n;
+  EdgeId m;
+};
+
+Sizes ScaledSizes(const DatasetSpec& spec, double scale) {
+  GORDER_CHECK(scale > 0);
+  return {static_cast<NodeId>(std::max(
+              64.0, static_cast<double>(spec.sim_nodes) * scale)),
+          static_cast<EdgeId>(std::max(
+              128.0, static_cast<double>(spec.sim_edges) * scale))};
+}
+
+int RmatScale(NodeId n) {
+  return std::max(6, static_cast<int>(std::lround(std::log2(n))));
+}
+
+/// Node count of a chunked family's id space: R-MAT rounds n to a power
+/// of two.
+NodeId ChunkedNodes(const DatasetSpec& spec, Sizes s) {
+  return spec.generator == "rmat" ? NodeId{1} << RmatScale(s.n) : s.n;
+}
+
+/// The one dispatch over the chunked families, shared by both tiers:
+/// MakeDataset materialises it, StreamDataset streams it.
+IoResult StreamChunked(const DatasetSpec& spec, Sizes s, std::uint64_t seed,
+                       const ChunkedOptions& options, const EdgeSink& sink) {
+  if (spec.generator == "rmat") {
+    RmatParams p;
+    p.scale = RmatScale(s.n);
+    p.num_edges = s.m;
+    return StreamRmat(p, seed, options, sink);
+  }
+  if (spec.generator == "er") {
+    return StreamErdosRenyi(s.n, s.m, seed, options, sink);
+  }
+  GORDER_CHECK(spec.generator == "ba" && "unknown generator kind");
+  const auto out_k = std::max<NodeId>(1, static_cast<NodeId>(s.m / s.n));
+  return StreamBarabasiAlbert(s.n, out_k, seed, options, sink);
+}
+
 }  // namespace
 
 const std::vector<DatasetSpec>& AllDatasets() {
@@ -52,11 +94,11 @@ const std::vector<DatasetSpec>& HugeDatasets() {
   // feeds extmem::ExtPackBuilder. crawl_jump_prob is unused — huge
   // datasets keep the generator's natural id space.
   static const std::vector<DatasetSpec>* kSpecs = new std::vector<DatasetSpec>{
-      {"rmat-huge", "social", "rmat-stream", 0.0, 0.0, 1u << 26,
+      {"rmat-huge", "social", "rmat", 0.0, 0.0, 1u << 26,
        EdgeId{1} << 30, 0.0, DatasetTier::kHuge},
-      {"er-huge", "uniform", "er-stream", 0.0, 0.0, 1u << 26,
+      {"er-huge", "uniform", "er", 0.0, 0.0, 1u << 26,
        EdgeId{1} << 30, 0.0, DatasetTier::kHuge},
-      {"ba-huge", "social", "ba-stream", 0.0, 0.0, 1u << 26,
+      {"ba-huge", "social", "ba", 0.0, 0.0, 1u << 26,
        EdgeId{1} << 30, 0.0, DatasetTier::kHuge},
   };
   return *kSpecs;
@@ -96,31 +138,27 @@ Graph MakeDataset(const std::string& name, double scale, std::uint64_t seed) {
   GORDER_CHECK(spec.tier == DatasetTier::kStandard &&
                "huge-tier datasets are stream-only: use StreamDataset / "
                "gorder_cli --cmd=gen --tier=huge --out=<f.gpack>");
-  GORDER_CHECK(scale > 0);
   Rng rng(seed ^ HashName(name));
-  const auto n = static_cast<NodeId>(
-      std::max(64.0, static_cast<double>(spec.sim_nodes) * scale));
-  const auto m = static_cast<EdgeId>(
-      std::max(128.0, static_cast<double>(spec.sim_edges) * scale));
+  const Sizes s = ScaledSizes(spec, scale);
 
   Graph g;
-  if (spec.generator == "rmat") {
-    RmatParams p;
-    p.scale = std::max(6, static_cast<int>(std::lround(std::log2(n))));
-    p.num_edges = m;
-    g = Rmat(p, rng);
-  } else if (spec.generator == "planted") {
+  if (spec.generator == "planted") {
     PlantedPartitionParams p;
-    p.num_nodes = n;
-    p.num_communities = std::max<NodeId>(8, n / 250);
-    p.avg_degree = static_cast<double>(m) / n;
+    p.num_nodes = s.n;
+    p.num_communities = std::max<NodeId>(8, s.n / 250);
+    p.avg_degree = static_cast<double>(s.m) / s.n;
     p.mixing = 0.15;
     g = PlantedPartition(p, rng);
   } else if (spec.generator == "copying") {
-    NodeId out_k = std::max<NodeId>(2, static_cast<NodeId>(m / n));
-    g = CopyingModel(n, out_k, /*copy_prob=*/0.6, rng);
+    NodeId out_k = std::max<NodeId>(2, static_cast<NodeId>(s.m / s.n));
+    g = CopyingModel(s.n, out_k, /*copy_prob=*/0.6, rng);
   } else {
-    GORDER_CHECK(false && "unknown generator kind");
+    const std::uint64_t stream_seed = rng.NextU64();
+    g = BuildGraphFromEdgeStream(
+        [&](const EdgeSink& sink) {
+          return StreamChunked(spec, s, stream_seed, {}, sink);
+        },
+        ChunkedNodes(spec, s), s.m);
   }
 
   // Expose ids in noisy-crawl order: this *is* the dataset's "Original"
@@ -137,31 +175,9 @@ IoResult StreamDataset(const std::string& name, double scale,
   GORDER_CHECK(spec.tier == DatasetTier::kHuge &&
                "StreamDataset serves huge-tier specs; standard datasets "
                "generate in memory via MakeDataset");
-  GORDER_CHECK(scale > 0);
-  const std::uint64_t stream_seed = seed ^ HashName(name);
-  const auto n = static_cast<NodeId>(
-      std::max(64.0, static_cast<double>(spec.sim_nodes) * scale));
-  const auto m = static_cast<EdgeId>(
-      std::max(128.0, static_cast<double>(spec.sim_edges) * scale));
-
-  if (spec.generator == "rmat-stream") {
-    RmatParams p;
-    p.scale = std::max(6, static_cast<int>(std::lround(std::log2(n))));
-    p.num_edges = m;
-    if (num_nodes != nullptr) *num_nodes = NodeId{1} << p.scale;
-    return StreamRmat(p, stream_seed, options, sink);
-  }
-  if (spec.generator == "er-stream") {
-    if (num_nodes != nullptr) *num_nodes = n;
-    return StreamErdosRenyi(n, m, stream_seed, options, sink);
-  }
-  if (spec.generator == "ba-stream") {
-    const auto out_k = std::max<NodeId>(1, static_cast<NodeId>(m / n));
-    if (num_nodes != nullptr) *num_nodes = n;
-    return StreamBarabasiAlbert(n, out_k, stream_seed, options, sink);
-  }
-  GORDER_CHECK(false && "unknown streaming generator kind");
-  return IoResult::Error("unreachable");
+  const Sizes s = ScaledSizes(spec, scale);
+  if (num_nodes != nullptr) *num_nodes = ChunkedNodes(spec, s);
+  return StreamChunked(spec, s, seed ^ HashName(name), options, sink);
 }
 
 }  // namespace gorder::gen

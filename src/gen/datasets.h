@@ -10,6 +10,12 @@
 
 namespace gorder::gen {
 
+/// Version of the dataset recipes: bumped whenever MakeDataset returns
+/// different bytes for some (name, scale, seed). Store pack names carry
+/// it, so a store filled by an older build is never served. 2: the
+/// R-MAT stand-ins sample through StreamRmat.
+inline constexpr int kDatasetRecipeVersion = 2;
+
 /// Registry tier. Standard datasets are the paper-replication stand-ins
 /// that generate in memory; the huge tier (DESIGN.md §19) holds
 /// 10^8-10^9-edge chunked-streaming datasets that only exist as edge
@@ -24,9 +30,9 @@ enum class DatasetTier { kStandard, kHuge };
 struct DatasetSpec {
   std::string name;       // paper's dataset name, e.g. "pokec"
   std::string category;   // "social" or "web"
-  std::string generator;  // "rmat", "planted", "copying";
-                          // huge tier: "rmat-stream", "er-stream",
-                          // "ba-stream"
+  std::string generator;  // chunked families (gen/chunked.h), either
+                          // tier: "rmat", "er", "ba"; standard tier
+                          // only: "planted", "copying"
   // Paper-reported sizes (for Table 1 context); zero for huge tier.
   double paper_nodes_m = 0.0;  // millions
   double paper_edges_m = 0.0;  // millions

@@ -9,146 +9,31 @@
 
 namespace gorder::gen {
 
-namespace {
-
-std::uint64_t PackEdge(NodeId src, NodeId dst) {
-  return (static_cast<std::uint64_t>(src) << 32) | dst;
-}
-
-}  // namespace
-
 Graph ErdosRenyi(NodeId n, EdgeId m, Rng& rng) {
-  GORDER_CHECK(n >= 2);
-  // Exact integer feasibility (n <= 2^32-1, so n*(n-1) fits in 64
-  // bits): the old double comparison was lossy above 2^53 and let
-  // near-infeasible m reach the allocation and rejection loop below.
-  const std::uint64_t max_edges =
-      static_cast<std::uint64_t>(n) * (static_cast<std::uint64_t>(n) - 1);
-  GORDER_CHECK(m <= max_edges && "ErdosRenyi: m exceeds n*(n-1)");
-  Graph::Builder builder(n);
-  builder.ReserveEdges(m);
-  if (m <= max_edges / 2) {
-    // Sparse regime: rejection-sample (src, dst) pairs into a dedup
-    // set. With m at most half the edge space every draw hits a fresh
-    // edge with probability >= 1/2, so expected draws are O(m).
-    std::unordered_set<std::uint64_t> seen;
-    // Bounded reserve: feasible m can still be huge, and the table
-    // grows on demand anyway — never pre-commit multi-GB in one call
-    // (the ReadBinary bug class from PR 5).
-    seen.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(m * 2, std::uint64_t{1} << 24)));
-    while (seen.size() < m) {
-      NodeId src = static_cast<NodeId>(rng.Uniform(n));
-      NodeId dst = static_cast<NodeId>(rng.Uniform(n));
-      if (src == dst) continue;
-      if (seen.insert(PackEdge(src, dst)).second) builder.AddEdge(src, dst);
-    }
-  } else {
-    // Dense regime: rejection sampling would coupon-collector-grind
-    // near the density ceiling, so sample the complement instead —
-    // choose the max_edges - m *holes* (fewer than half the space, so
-    // the same O(holes) rejection bound applies) and emit every other
-    // index of the self-loop-free edge enumeration
-    //   idx -> src = idx / (n-1), dst = r + (r >= src), r = idx % (n-1).
-    const std::uint64_t holes = max_edges - m;
-    std::unordered_set<std::uint64_t> excluded;
-    excluded.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(holes * 2, std::uint64_t{1} << 24)));
-    while (excluded.size() < holes) excluded.insert(rng.Uniform(max_edges));
-    for (std::uint64_t idx = 0; idx < max_edges; ++idx) {
-      if (excluded.count(idx)) continue;
-      const NodeId src = static_cast<NodeId>(idx / (n - 1));
-      const std::uint64_t r = idx % (n - 1);
-      const NodeId dst = static_cast<NodeId>(r + (r >= src ? 1 : 0));
-      builder.AddEdge(src, dst);
-    }
-  }
-  return builder.Build();
+  const std::uint64_t seed = rng.NextU64();
+  return BuildGraphFromEdgeStream(
+      [&](const EdgeSink& sink) {
+        return StreamErdosRenyi(n, m, seed, {}, sink);
+      },
+      n, m);
 }
 
 Graph BarabasiAlbert(NodeId n, NodeId out_k, Rng& rng) {
-  GORDER_CHECK(n > out_k && out_k >= 1);
-  Graph::Builder builder(n);
-  builder.ReserveEdges(static_cast<std::size_t>(n) * out_k);
-  // `targets` holds one entry per (in-degree + 1) unit of attachment mass,
-  // so uniform sampling from it is preferential attachment.
-  std::vector<NodeId> targets;
-  targets.reserve(static_cast<std::size_t>(n) * (out_k + 1));
-  // Seed clique-ish core of out_k + 1 nodes.
-  for (NodeId v = 0; v <= out_k; ++v) {
-    for (NodeId w = 0; w <= out_k; ++w) {
-      if (v != w) builder.AddEdge(v, w);
-    }
-    targets.push_back(v);
-    targets.push_back(v);  // extra mass for the core
-  }
-  // Per-source dedup scratch: a node must not emit two parallel edges
-  // in one round, or its realised out-degree silently drops when the
-  // builder dedups.
-  std::vector<NodeId> round;
-  round.reserve(out_k);
-  for (NodeId v = out_k + 1; v < n; ++v) {
-    round.clear();
-    for (NodeId e = 0; e < out_k; ++e) {
-      // Re-sample from the attachment mass until the target is neither
-      // v nor a repeat of this round: a uniform fallback here would
-      // bypass preferential attachment. Terminates with probability 1 —
-      // the seed core alone provides out_k + 1 distinct candidates.
-      NodeId dst;
-      do {
-        dst = targets[rng.Uniform(targets.size())];
-      } while (dst == v ||
-               std::find(round.begin(), round.end(), dst) != round.end());
-      round.push_back(dst);
-      builder.AddEdge(v, dst);
-      targets.push_back(dst);
-    }
-    targets.push_back(v);
-  }
-  return builder.Build();
+  const std::uint64_t seed = rng.NextU64();
+  return BuildGraphFromEdgeStream(
+      [&](const EdgeSink& sink) {
+        return StreamBarabasiAlbert(n, out_k, seed, {}, sink);
+      },
+      n, static_cast<EdgeId>(n) * out_k);
 }
-
-namespace internal {
-
-Edge SampleRmatEdge(const RmatParams& params, double d, Rng& rng) {
-  NodeId src = 0, dst = 0;
-  for (int level = 0; level < params.scale; ++level) {
-    double na = params.a * (0.9 + 0.2 * rng.UniformDouble());
-    double nb = params.b * (0.9 + 0.2 * rng.UniformDouble());
-    double nc = params.c * (0.9 + 0.2 * rng.UniformDouble());
-    double nd = d * (0.9 + 0.2 * rng.UniformDouble());
-    double total = na + nb + nc + nd;
-    double r = rng.UniformDouble() * total;
-    src <<= 1;
-    dst <<= 1;
-    if (r < na) {
-      // top-left quadrant: no bits set
-    } else if (r < na + nb) {
-      dst |= 1;
-    } else if (r < na + nb + nc) {
-      src |= 1;
-    } else {
-      src |= 1;
-      dst |= 1;
-    }
-  }
-  return {src, dst};
-}
-
-}  // namespace internal
 
 Graph Rmat(const RmatParams& params, Rng& rng) {
-  GORDER_CHECK(params.scale >= 1 && params.scale < 31);
-  const double d = 1.0 - params.a - params.b - params.c;
-  GORDER_CHECK(d > 0.0);
-  const NodeId n = static_cast<NodeId>(1) << params.scale;
-  Graph::Builder builder(n);
-  builder.ReserveEdges(params.num_edges);
-  for (EdgeId e = 0; e < params.num_edges; ++e) {
-    const Edge edge = internal::SampleRmatEdge(params, d, rng);
-    if (edge.src != edge.dst) builder.AddEdge(edge.src, edge.dst);
-  }
-  return builder.Build();
+  const std::uint64_t seed = rng.NextU64();
+  return BuildGraphFromEdgeStream(
+      [&](const EdgeSink& sink) {
+        return StreamRmat(params, seed, {}, sink);
+      },
+      NodeId{1} << params.scale, params.num_edges);
 }
 
 Graph CopyingModel(NodeId n, NodeId out_k, double copy_prob, Rng& rng) {
@@ -314,7 +199,7 @@ Graph PlantedPartition(const PlantedPartitionParams& params, Rng& rng) {
   // caller decides the exposed ordering (see MakeCrawlOrder / datasets).
   const EdgeId m = static_cast<EdgeId>(params.avg_degree * n);
   std::unordered_set<std::uint64_t> seen;
-  // Bounded like ErdosRenyi's: grow on demand past 2^24 buckets.
+  // Bounded reserve: the table grows on demand past 2^24 buckets.
   seen.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(m * 2, std::uint64_t{1} << 24)));
   Graph::Builder builder(n);
@@ -333,7 +218,7 @@ Graph PlantedPartition(const PlantedPartitionParams& params, Rng& rng) {
       dst = global_tickets[rng.Uniform(global_tickets.size())];
     }
     if (src == dst) continue;
-    if (seen.insert(PackEdge(src, dst)).second) {
+    if (seen.insert((static_cast<std::uint64_t>(src) << 32) | dst).second) {
       builder.AddEdge(src, dst);
       ++added;
     }

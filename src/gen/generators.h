@@ -1,8 +1,6 @@
 #ifndef GORDER_GEN_GENERATORS_H_
 #define GORDER_GEN_GENERATORS_H_
 
-#include <functional>
-
 #include "gen/chunked.h"  // chunked/streaming generators (StreamRmat & co.)
 #include "graph/graph.h"
 #include "util/io_result.h"
@@ -10,47 +8,29 @@
 
 namespace gorder::gen {
 
-/// G(n, m): m distinct directed edges sampled uniformly. Baseline model
-/// with no community structure or degree skew; used in tests and as a
-/// worst case for locality orderings. Rejection-sampled with a global
-/// dedup set, so it is exact but serial and in-memory — requests denser
-/// than half the edge space are rejected up front (the rejection loop
-/// degenerates near the density ceiling; stream the complement or use
-/// StreamErdosRenyi instead). For 10^8+ edges use StreamErdosRenyi
-/// (chunked.h).
+// ER, BA and R-MAT have one sampler each: the chunked streams of
+// gen/chunked.h (included above), bit-identical at any thread count.
+// The in-memory forms below drain that stream into a Graph
+// (BuildGraphFromEdgeStream), seeded with one draw from `rng`.
+
+/// G(n, m): m uniform non-self-loop edge samples (StreamErdosRenyi).
+/// Duplicate samples collapse in the builder, so the graph has at most
+/// m distinct edges. No community structure or degree skew; used in
+/// tests and as a worst case for locality orderings. Aborts if
+/// m > n*(n-1).
 Graph ErdosRenyi(NodeId n, EdgeId m, Rng& rng);
 
-/// Directed preferential attachment (Barabasi-Albert flavour): each new
-/// node emits `out_k` edges whose targets are chosen proportionally to
-/// in-degree + 1, distinct per source (a node never emits two parallel
-/// edges in one round, and self-attachment re-samples from the
-/// attachment mass, preserving preferential attachment). Produces the
-/// skewed in-degree distribution typical of social graphs. Serial; for
-/// 10^8+ edges use StreamBarabasiAlbert (chunked.h).
+/// Directed preferential attachment (StreamBarabasiAlbert): node v
+/// emits `out_k` samples whose targets follow the Batagelj-Brandes
+/// hash-chain process, so in-degrees are skewed like social graphs.
+/// Self-loop and duplicate samples are dropped, so out-degrees can fall
+/// slightly below out_k.
 Graph BarabasiAlbert(NodeId n, NodeId out_k, Rng& rng);
 
-/// R-MAT / Kronecker generator (Chakrabarti et al., SDM 2004): samples
-/// `m` edges by recursive quadrant descent over a 2^scale x 2^scale
-/// adjacency matrix with probabilities (a, b, c, d) and multiplicative
-/// noise. The standard stand-in for crawled social networks.
-struct RmatParams {
-  int scale = 16;          // n = 2^scale
-  EdgeId num_edges = 1 << 20;
-  double a = 0.57, b = 0.19, c = 0.19;  // d = 1 - a - b - c
-};
+/// R-MAT over 2^params.scale nodes (StreamRmat): the standard stand-in
+/// for crawled social networks. Self-loop and duplicate samples are
+/// dropped.
 Graph Rmat(const RmatParams& params, Rng& rng);
-
-// StreamRmat and the other chunked/streaming generators live in
-// gen/chunked.h (included above): communication-free per-chunk seeding,
-// parallel on the shared pool, bit-identical at any thread count.
-
-namespace internal {
-/// One R-MAT edge sample: recursive quadrant descent with
-/// multiplicative noise (+-10%) per level, which avoids the degree
-/// staircase artefact of noiseless R-MAT. `d = 1 - a - b - c`. Shared
-/// by the in-memory and chunked generators.
-Edge SampleRmatEdge(const RmatParams& params, double d, Rng& rng);
-}  // namespace internal
 
 /// Linear copying model (Kumar et al., FOCS 2000), the classic web-graph
 /// model: node i picks a random prototype and copies each of its

@@ -16,6 +16,12 @@ namespace gorder {
 /// below and the chunked generators (gen/chunked.h).
 using EdgeSink = std::function<IoResult(const Edge*, std::size_t)>;
 
+/// An edge-producing stream: invoked once with a sink, pushes every
+/// edge batch through it, propagating the first sink error. The chunked
+/// generators curry into this shape:
+///   [&](const EdgeSink& sink) { return gen::StreamRmat(p, seed, opt, sink); }
+using EdgeStreamFn = std::function<IoResult(const EdgeSink&)>;
+
 /// The edge-list grammar — the one every text ingest path uses:
 ///
 ///   * Lines end at '\n'; the last line may lack it.
@@ -53,11 +59,13 @@ IoResult ReadEdgeList(const std::string& path, Graph* graph);
 /// failure never leaves a truncated file at `path`.
 IoResult WriteEdgeList(const std::string& path, const Graph& graph);
 
-/// Binary format: magic, counts, then raw CSR arrays. Round-trips exactly
-/// and loads without re-sorting; used to cache generated datasets between
-/// benchmark runs. The header counts are validated against the file size
-/// before sizing any allocation; writes are staged + renamed like
-/// WriteEdgeList.
+/// Binary format: magic, counts, then raw out-CSR arrays. Round-trips
+/// exactly (self-loops and duplicates kept). ReadBinary validates the
+/// header counts against the file size before sizing any allocation,
+/// checks the offsets and neighbour ids, then rebuilds the graph through
+/// Graph::FromEdges. The `.bin` format of gorder_cli --in/--out; the
+/// dataset store caches `.gpack` files instead (store/gpack.h). Writes
+/// are staged + renamed like WriteEdgeList.
 IoResult ReadBinary(const std::string& path, Graph* graph);
 IoResult WriteBinary(const std::string& path, const Graph& graph);
 

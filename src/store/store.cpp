@@ -99,7 +99,8 @@ std::uint64_t HashOrderingKey(order::Method method,
 std::string Store::PackPath(const std::string& dataset, double scale,
                             std::uint64_t seed) const {
   return root_ + "/packs/" + dataset + "-s" + FormatScale(scale) + "-r" +
-         std::to_string(seed) + ".gpack";
+         std::to_string(seed) + "-v" +
+         std::to_string(gen::kDatasetRecipeVersion) + ".gpack";
 }
 
 Graph Store::GetDataset(const std::string& name, double scale,

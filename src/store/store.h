@@ -19,11 +19,13 @@ namespace gorder::store {
 ///
 /// Layout under the root directory:
 ///
-///   <root>/packs/<dataset>-s<scale>-r<seed>.gpack
+///   <root>/packs/<dataset>-s<scale>-r<seed>-v<recipe>.gpack
 ///   <root>/orderings/<graph-fingerprint>/<method>-<params-hash>.gperm
 ///
 /// Dataset packs are keyed by the full generation recipe (name, scale,
-/// seed) — the triple that makes gen::MakeDataset deterministic.
+/// seed) — the triple that makes gen::MakeDataset deterministic — plus
+/// gen::kDatasetRecipeVersion, so packs of an older recipe are never
+/// served.
 /// Ordering artifacts are keyed by the *content* fingerprint of the
 /// graph plus a hash of every OrderingParams field, so an artifact can
 /// never be replayed against a graph or parameterisation it was not

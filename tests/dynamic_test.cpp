@@ -93,12 +93,14 @@ TEST(IncrementalGorderTest, NewNodesLandNearTheirNeighbours) {
 
 TEST(IncrementalGorderTest, IncrementalBeatsAppendOnLocality) {
   // Stream growth: incremental maintenance should preserve much more
-  // Gorder-score locality than naive id-append order.
+  // Gorder-score locality than naive id-append order while the graph
+  // has drifted well below the ~25% staleness where the two reach
+  // parity (EXPERIMENTS.md, ext_dynamic).
   Graph base = gen::MakeDataset("epinion", 0.08);
   order::IncrementalGorder inc(base);
   DynamicGraph naive(base);
   Rng rng(4);
-  for (int i = 0; i < 400; ++i) {
+  for (int i = 0; i < 200; ++i) {
     NodeId vi = inc.AddNode();
     NodeId vn = naive.AddNode();
     ASSERT_EQ(vi, vn);
@@ -113,6 +115,7 @@ TEST(IncrementalGorderTest, IncrementalBeatsAppendOnLocality) {
   auto inc_perm = inc.CurrentPermutation();
   std::uint64_t f_inc = GorderScoreUnderPermutation(grown, inc_perm, 5);
   std::uint64_t f_append = GorderScore(grown, 5);
+  EXPECT_LT(inc.StalenessRatio(), 0.15);
   EXPECT_GT(f_inc, f_append);
 }
 

@@ -292,7 +292,7 @@ TEST(StreamRmatTest, DeterministicAndInRange) {
   params.num_edges = 5000;
   auto collect = [&](std::size_t chunk_edges) {
     std::vector<Edge> edges;
-    IoResult r = gen::StreamRmat(params, 42, chunk_edges,
+    IoResult r = gen::StreamRmat(params, 42, {.chunk_edges = chunk_edges},
                                  [&](const Edge* e, std::size_t n) {
                                    edges.insert(edges.end(), e, e + n);
                                    return IoResult::Ok();
@@ -326,7 +326,7 @@ TEST(StreamRmatTest, StreamsIntoExtmemPackBitIdentically) {
   ASSERT_TRUE(builder.Begin(ext_pack).ok);
   builder.ReserveNodes(n);
   Graph::Builder mem_builder(n);
-  IoResult r = gen::StreamRmat(params, 11, 600,
+  IoResult r = gen::StreamRmat(params, 11, {.chunk_edges = 600},
                                [&](const Edge* e, std::size_t count) {
                                  for (std::size_t i = 0; i < count; ++i) {
                                    mem_builder.AddEdge(e[i].src, e[i].dst);
@@ -344,7 +344,7 @@ TEST(StreamRmatTest, PropagatesSinkError) {
   params.scale = 8;
   params.num_edges = 10000;
   int calls = 0;
-  IoResult r = gen::StreamRmat(params, 1, 100,
+  IoResult r = gen::StreamRmat(params, 1, {.chunk_edges = 100},
                                [&](const Edge*, std::size_t) {
                                  return ++calls >= 3
                                             ? IoResult::Error("sink full")

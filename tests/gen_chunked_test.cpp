@@ -1,16 +1,13 @@
-// Chunked streaming generation (gen/chunked.h, DESIGN.md §19) and the
-// generator correctness fixes that rode along with it:
+// Chunked streaming generation (gen/chunked.h, DESIGN.md §19), the one
+// sampler of each of ER, BA and R-MAT:
 //   - the windowed parallel driver is bit-identical to the retained
 //     serial reference for every generator family, at any thread count
 //     (the differential contract);
-//   - ER/BA/planted-partition output is pinned by golden fingerprints
-//     at 1/2/8 threads, so a silent change to any PRNG derivation or
-//     sampling step fails loudly;
-//   - the in-memory ErdosRenyi feasibility guards use exact integer
-//     arithmetic (the old double comparison was lossy above 2^53) and
-//     fire *before* any allocation;
-//   - BarabasiAlbert redraws from the attachment mass and dedups per
-//     source, so realised out-degrees equal out_k exactly;
+//   - stream, huge-tier and dataset output is pinned by golden
+//     fingerprints at 1/2/8 threads, so a silent change to any PRNG
+//     derivation or sampling step fails loudly;
+//   - the ER feasibility guard uses exact integer arithmetic (the old
+//     double comparison was lossy above 2^53);
 //   - the chunked stream packs through extmem::BuildPackFromEdgeStream
 //     to byte-identical .gpack files at 1/2/8 threads.
 
@@ -145,19 +142,6 @@ TEST(ChunkedDifferentialTest, BarabasiAlbertParallelMatchesSerialReference) {
   }
 }
 
-TEST(ChunkedDifferentialTest, BackCompatOverloadMatchesOptionsPath) {
-  const gen::RmatParams p = SmallRmat();
-  gen::ChunkedOptions options;
-  options.chunk_edges = 2048;
-  const Collected a = Drain([&](const EdgeSink& sink) {
-    return gen::StreamRmat(p, 9, options, sink);
-  });
-  const Collected b = Drain([&](const EdgeSink& sink) {
-    return gen::StreamRmat(p, 9, std::size_t{2048}, sink);
-  });
-  EXPECT_EQ(a.edges, b.edges);
-}
-
 TEST(ChunkedDifferentialTest, WindowSizeIsInvisibleInOutput) {
   ThreadGuard guard(4);
   gen::ChunkedOptions small_window;
@@ -255,6 +239,17 @@ TEST(ChunkedGoldenTest, HugeTierStreamFingerprints) {
   }
 }
 
+TEST(ChunkedGoldenTest, RmatDatasetFingerprint) {
+  // The R-MAT stand-ins (epinion, flickr, gplus, twitter) materialise
+  // StreamRmat, then crawl-relabel on the shared pool.
+  for (int threads : {1, 2, 8}) {
+    ThreadGuard guard(threads);
+    Graph g = gen::MakeDataset("epinion", 0.05, 42);
+    EXPECT_EQ(FnvEdges(g.ToEdges()), 0xc458bcb341152255ULL)
+        << threads << " threads";
+  }
+}
+
 TEST(ChunkedGoldenTest, PlantedPartitionDatasetFingerprint) {
   // The planted-partition stand-in (pokec) generates serially; the graph
   // build and crawl relabel behind MakeDataset use the shared pool, so
@@ -265,15 +260,6 @@ TEST(ChunkedGoldenTest, PlantedPartitionDatasetFingerprint) {
     EXPECT_EQ(FnvEdges(g.ToEdges()), 0x02f7d122cf003fdaULL)
         << threads << " threads";
   }
-}
-
-TEST(ChunkedGoldenTest, BarabasiAlbertInMemoryFingerprint) {
-  // Pins the *fixed* in-memory BA output (resample-from-mass + per-round
-  // dedup). A change to the sampling loop shows up here before it shows
-  // up as a silently different benchmark graph.
-  Rng rng(42);
-  Graph g = gen::BarabasiAlbert(600, 4, rng);
-  EXPECT_EQ(FnvEdges(g.ToEdges()), 0x243a76b6a64175c9ULL);
 }
 
 // ---------------------------------------------------------------------
@@ -318,93 +304,44 @@ TEST(StreamErdosRenyiTest, DensityCeilingDoesNotGrind) {
 }
 
 TEST(StreamErdosRenyiTest, InfeasibleRequestAborts) {
-  gen::ChunkedOptions options;
-  EXPECT_DEATH(
-      {
-        IoResult r = gen::StreamErdosRenyi(
-            64, 64 * 63 + 1, 1, options,
-            [](const Edge*, std::size_t) { return IoResult::Ok(); });
-        (void)r;
-      },
-      "m exceeds n");
-}
-
-// ---------------------------------------------------------------------
-// In-memory ErdosRenyi guards: exact integer feasibility, ordered
-// before any allocation.
-// ---------------------------------------------------------------------
-
-TEST(ErdosRenyiGuardTest, ExactIntegerFeasibilityAboveDoublePrecision) {
   // n*(n-1) = 9999999900000000 > 2^53: IEEE doubles cannot represent
-  // max+1 distinctly, so the old `double(m) <= double(n)*(n-1)` check
-  // accepted it and fell through to the allocation and rejection loop.
-  const NodeId n = 100000000;
-  const std::uint64_t max_edges =
-      static_cast<std::uint64_t>(n) * (static_cast<std::uint64_t>(n) - 1);
-  ASSERT_EQ(static_cast<double>(max_edges + 1),
-            static_cast<double>(max_edges))
+  // max+1 distinctly, so a `double(m) <= double(n)*(n-1)` check would
+  // accept it. The guard is exact integer arithmetic.
+  const NodeId big_n = 100000000;
+  const std::uint64_t big_max = static_cast<std::uint64_t>(big_n) *
+                                (static_cast<std::uint64_t>(big_n) - 1);
+  ASSERT_EQ(static_cast<double>(big_max + 1), static_cast<double>(big_max))
       << "test premise: max+1 must collapse onto max in double";
-  EXPECT_DEATH(
-      {
-        Rng rng(1);
-        Graph g = gen::ErdosRenyi(n, max_edges + 1, rng);
-        (void)g;
-      },
-      "m exceeds n");
-}
-
-TEST(ErdosRenyiGuardTest, DenseRegimeSamplesComplementExactly) {
-  // Above half the edge space rejection sampling would grind (coupon
-  // collector), so the generator switches to complement sampling:
-  // exact edge count, no self-loops, and it terminates promptly even
-  // at the density ceiling.
-  Rng rng(7);
-  Graph dense = gen::ErdosRenyi(100, 6000, rng);  // max/2 = 4950 < 6000
-  EXPECT_EQ(dense.NumEdges(), 6000u);
-  for (NodeId v = 0; v < dense.NumNodes(); ++v) {
-    for (NodeId w : dense.OutNeighbors(v)) EXPECT_NE(v, w);
+  struct Case {
+    NodeId n;
+    EdgeId m;
+  };
+  const Case cases[] = {
+      {64, 64 * 63 + 1},            // one past the density ceiling
+      {big_n, big_max + 1},         // past it above double precision
+      {1u << 16, EdgeId{1} << 60},  // absurd m
+  };
+  for (const Case& c : cases) {
+    EXPECT_DEATH(
+        {
+          IoResult r = gen::StreamErdosRenyi(
+              c.n, c.m, 1, {},
+              [](const Edge*, std::size_t) { return IoResult::Ok(); });
+          (void)r;
+        },
+        "m exceeds n")
+        << c.n << " nodes, " << c.m << " edges";
+    // The in-memory form reserves only after the stream's check, so it
+    // dies on the same CHECK, not in the allocator.
+    EXPECT_DEATH(
+        {
+          Rng rng(1);
+          Graph g = gen::ErdosRenyi(c.n, c.m, rng);
+          (void)g;
+        },
+        "m exceeds n")
+        << c.n << " nodes, " << c.m << " edges (in memory)";
   }
-  // m == n*(n-1): the complete directed graph, zero holes to sample.
-  Graph full = gen::ErdosRenyi(30, 30 * 29, rng);
-  EXPECT_EQ(full.NumEdges(), 30u * 29u);
-  // Just past the sparse/dense switch: still exact.
-  Graph boundary = gen::ErdosRenyi(10, 46, rng);  // max = 90, half = 45
-  EXPECT_EQ(boundary.NumEdges(), 46u);
-}
-
-TEST(ErdosRenyiGuardTest, GuardsFireBeforeReserve) {
-  // Regression for the unbounded `seen.reserve(m * 2)`: an absurd m
-  // must die on the feasibility CHECK (clean abort with its message),
-  // not inside the allocator. The CHECK text in the death output is the
-  // proof the guard ran first.
-  EXPECT_DEATH(
-      {
-        Rng rng(1);
-        Graph g = gen::ErdosRenyi(1u << 16, EdgeId{1} << 60, rng);
-        (void)g;
-      },
-      "m exceeds n");
-}
-
-// ---------------------------------------------------------------------
-// BarabasiAlbert fix: redraws come from the attachment mass (not a
-// uniform fallback) and are deduped per round, so realised out-degrees
-// are exact.
-// ---------------------------------------------------------------------
-
-TEST(BarabasiAlbertTest, OutDegreesExactlyOutK) {
-  Rng rng(3);
-  const NodeId n = 500, k = 5;
-  Graph g = gen::BarabasiAlbert(n, k, rng);
-  // Builder dedup removes nothing: every node emitted k distinct
-  // non-self targets. (Before the fix, duplicate parallel edges were
-  // silently dedupped and out-degrees undershot k.)
-  for (NodeId v = 0; v < n; ++v) {
-    EXPECT_EQ(g.OutDegree(v), k) << "node " << v;
-    EXPECT_FALSE(g.HasEdge(v, v));
-  }
-  // Every node (core included) emits exactly k surviving edges.
-  EXPECT_EQ(g.NumEdges(), static_cast<EdgeId>(n) * k);
 }
 
 TEST(StreamBarabasiAlbertTest, SkewedInDegrees) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <utility>
 
 #include "gen/crawl_order.h"
 #include "gen/datasets.h"
@@ -15,10 +17,25 @@ using gen::AllDatasets;
 using gen::MakeDataset;
 
 TEST(ErdosRenyiTest, ExactEdgeCountNoSelfLoops) {
+  // The in-memory graph is exactly the distinct samples of the stream
+  // seeded by the first draw of `rng`: at most m edges, no self-loops.
   Rng rng(1);
   Graph g = gen::ErdosRenyi(100, 500, rng);
+  std::size_t num_samples = 0;
+  std::set<std::pair<NodeId, NodeId>> distinct;
+  IoResult r = gen::StreamErdosRenyi(
+      100, 500, Rng(1).NextU64(), {}, [&](const Edge* e, std::size_t n) {
+        num_samples += n;
+        for (std::size_t i = 0; i < n; ++i) {
+          distinct.insert({e[i].src, e[i].dst});
+        }
+        return IoResult::Ok();
+      });
+  ASSERT_TRUE(r.ok);
+  ASSERT_EQ(num_samples, 500u);
   EXPECT_EQ(g.NumNodes(), 100u);
-  EXPECT_EQ(g.NumEdges(), 500u);
+  EXPECT_EQ(g.NumEdges(), distinct.size());
+  EXPECT_GT(g.NumEdges(), 450u);  // ~13 duplicate pairs expected
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     EXPECT_FALSE(g.HasEdge(v, v));
   }

@@ -44,14 +44,16 @@ struct Golden {
 };
 
 // Derived from the pre-refactor greedy (seed 42, window 5) and carried
-// unchanged through the packed-slot kernel.
+// unchanged through the packed-slot kernel. The epinion and flickr rows
+// were re-derived when the R-MAT stand-ins moved to StreamRmat (new
+// input graphs, same kernel); the wiki rows never moved.
 constexpr Golden kGoldens[] = {
-    {"epinion", 0.10, false, 5477, 0xd86e7b3375554f3dULL},
+    {"epinion", 0.10, false, 5633, 0x09df68909d5e2bc3ULL},
     {"wiki", 0.10, false, 33220, 0x4b0629fdf7e37b9bULL},
-    {"flickr", 0.15, false, 22241, 0x31587a5e0fe55a53ULL},
-    {"epinion", 0.10, true, 5492, 0x7627bcbd6f086d59ULL},
+    {"flickr", 0.15, false, 22555, 0x768fa7fe235ccfdbULL},
+    {"epinion", 0.10, true, 5590, 0xda439949ce0f31a9ULL},
     {"wiki", 0.10, true, 33349, 0xa5f8b1d0622feb67ULL},
-    {"flickr", 0.15, true, 22202, 0x84f6650a1cbd6305ULL},
+    {"flickr", 0.15, true, 22445, 0x03e9cfa908649295ULL},
 };
 
 TEST(GorderGoldenTest, ScoresAndFingerprintsMatchPreRefactorKernel) {

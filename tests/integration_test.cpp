@@ -8,6 +8,7 @@
 #include <map>
 
 #include "core/gorder_lib.h"
+#include "test_util.h"
 
 namespace gorder {
 namespace {
@@ -97,13 +98,13 @@ TEST(EndToEndIoTest, OrderPersistAndReload) {
   Graph g = gen::MakeDataset("epinion", 0.02);
   auto perm = order::ComputeOrdering(g, order::Method::kGorder, {});
   Graph h = g.Relabel(perm);
-  std::string path = std::string(::testing::TempDir()) + "/pipeline.bin";
+  const ScopedTempDir dir;
+  const std::string path = dir.Path("pipeline.bin");
   ASSERT_TRUE(WriteBinary(path, h).ok);
   Graph reloaded;
   ASSERT_TRUE(ReadBinary(path, &reloaded).ok);
   EXPECT_EQ(algo::Nq(h).checksum, algo::Nq(reloaded).checksum);
   EXPECT_EQ(algo::KCore(h).max_core, algo::KCore(reloaded).max_core);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -317,6 +317,25 @@ TEST(StoreDatasets, MissThenHitProducesIdenticalGraph) {
   EXPECT_NE(s.PackPath("epinion", 0.1, 42), s.PackPath("pokec", 0.1, 42));
 }
 
+TEST(StoreDatasets, PackOfAnOlderRecipeIsNotServed) {
+  // A store filled before a recipe change holds the old bytes under the
+  // old name; the versioned name must never resolve to it.
+  const ScopedTempDir dir;
+  const std::string root = dir.Path("store");
+  store::Store s(root);
+  const std::string stale = root + "/packs/epinion-s0.1-r42.gpack";
+  fs::create_directories(root + "/packs");
+  Rng rng(1);
+  ASSERT_TRUE(store::WritePack(stale, gen::ErdosRenyi(64, 256, rng)).ok);
+  EXPECT_EQ(s.PackPath("epinion", 0.1, 42),
+            root + "/packs/epinion-s0.1-r42-v" +
+                std::to_string(gen::kDatasetRecipeVersion) + ".gpack");
+
+  Graph served = s.GetDataset("epinion", 0.1, 42);
+  ExpectSameCsr(gen::MakeDataset("epinion", 0.1, 42), served);
+  EXPECT_TRUE(fs::exists(s.PackPath("epinion", 0.1, 42)));
+}
+
 TEST(StoreDatasets, CorruptPackRegeneratesInsteadOfFailing) {
   const ScopedTempDir dir;
   const std::string root = dir.Path("store");

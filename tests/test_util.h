@@ -7,8 +7,8 @@
 // one case's cleanup deletes the files another case is still using.
 // ScopedTempDir names its directory after the pid, a per-process
 // counter and the running test, and removes it on destruction.
-// The tier-1 CI job rejects temp_directory_path anywhere else under
-// tests/.
+// The tier-1 CI job rejects temp_directory_path and testing::TempDir
+// anywhere else under tests/.
 
 #include <gtest/gtest.h>
 #include <unistd.h>

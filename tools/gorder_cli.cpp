@@ -344,7 +344,7 @@ int StreamHugePack(const Flags& flags, const std::string& name,
   extmem::ExtBuildStats stats;
   NodeId num_nodes = 0;
   IoResult r = extmem::BuildPackFromEdgeStream(
-      [&](const std::function<IoResult(const Edge*, std::size_t)>& sink) {
+      [&](const EdgeSink& sink) {
         return gen::StreamDataset(name, scale, seed, chunked, sink,
                                   &num_nodes);
       },
@@ -378,17 +378,11 @@ int CmdGen(const Flags& flags) {
   return StoreGraph(flags.GetString("out", name + ".txt"), g);
 }
 
-/// Packs a graph into the gpack container. Two modes:
-///   --dataset=<name> [--store-dir=<d>] [--scale --seed [--out]]
-///       generates the dataset and writes its canonical store pack
-///       (or --out if given);
-///   --in=<graph file> --out=<f.gpack>
-///       packs an existing graph file.
 /// Packs a synthetic R-MAT stream. The same chunked generator feeds both
-/// paths — chunks into the ExtPackBuilder with --extmem, chunks into an
-/// in-memory Graph::Builder without — so the two modes produce identical
-/// packs and differ only in peak RAM (the basis of the memory-capped CI
-/// comparison).
+/// paths — into extmem::BuildPackFromEdgeStream with --extmem, into
+/// gen::BuildGraphFromEdgeStream without — so the two modes produce
+/// identical packs and differ only in peak RAM (the basis of the
+/// memory-capped CI comparison).
 int PackRmatStream(const Flags& flags, const std::string& out) {
   if (out.empty()) {
     std::fprintf(stderr, "error: --rmat-scale needs --out=<f.gpack>\n");
@@ -396,38 +390,28 @@ int PackRmatStream(const Flags& flags, const std::string& out) {
   }
   gen::RmatParams rp;
   rp.scale = static_cast<int>(flags.GetInt("rmat-scale", 20));
+  if (rp.scale < 1 || rp.scale > 30) {
+    std::fprintf(stderr, "error: --rmat-scale must be in [1, 30]\n");
+    return 2;
+  }
   rp.num_edges = static_cast<EdgeId>(flags.GetInt("rmat-edge-factor", 16))
                  << rp.scale;
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
-  const extmem::ExtmemOptions options = ExtmemFromFlags(flags);
-  // Chunk size is fixed by the generator contract (determinism depends on
-  // it), so both modes use the same value regardless of budget.
-  const std::size_t chunk_edges = 1u << 18;
   const auto n = static_cast<NodeId>(1u << rp.scale);
+  // Default chunk size in both modes: determinism depends on it, so it
+  // never follows the memory budget.
+  const EdgeStreamFn stream = [&](const EdgeSink& sink) {
+    return gen::StreamRmat(rp, seed, gen::ChunkedOptions{}, sink);
+  };
   IoResult r;
   if (flags.GetBool("extmem", false)) {
-    extmem::ExtPackBuilder builder(options);
-    r = builder.Begin(out);
-    if (r.ok) {
-      builder.ReserveNodes(n);
-      r = gen::StreamRmat(rp, seed, chunk_edges,
-                          [&](const Edge* edges, std::size_t count) {
-                            return builder.AddBatch(edges, count);
-                          });
-    }
-    if (r.ok) r = builder.Finish();
-    if (r.ok) ReportExtBuild(builder.stats());
+    extmem::ExtBuildStats stats;
+    r = extmem::BuildPackFromEdgeStream(stream, n, out, ExtmemFromFlags(flags),
+                                        &stats);
+    if (r.ok) ReportExtBuild(stats);
   } else {
-    Graph::Builder b(n);
-    b.ReserveEdges(static_cast<std::size_t>(rp.num_edges));
-    r = gen::StreamRmat(rp, seed, chunk_edges,
-                        [&](const Edge* edges, std::size_t count) {
-                          for (std::size_t i = 0; i < count; ++i) {
-                            b.AddEdge(edges[i].src, edges[i].dst);
-                          }
-                          return IoResult::Ok();
-                        });
-    if (r.ok) r = store::WritePack(out, b.Build());
+    r = store::WritePack(
+        out, gen::BuildGraphFromEdgeStream(stream, n, rp.num_edges));
   }
   if (!r.ok) {
     std::fprintf(stderr, "error: %s\n", r.error.c_str());
@@ -437,6 +421,12 @@ int PackRmatStream(const Flags& flags, const std::string& out) {
   return 0;
 }
 
+/// Packs a graph into the gpack container. Two modes:
+///   --dataset=<name> [--store-dir=<d>] [--scale --seed [--out]]
+///       generates the dataset and writes its canonical store pack
+///       (or --out if given);
+///   --in=<graph file> --out=<f.gpack>
+///       packs an existing graph file.
 int CmdPack(const Flags& flags) {
   std::string in = flags.GetString("in", "");
   std::string out = flags.GetString("out", "");
