@@ -7,7 +7,8 @@
 //     fingerprints at 1/2/8 threads, so a silent change to any PRNG
 //     derivation or sampling step fails loudly;
 //   - the ER feasibility guard uses exact integer arithmetic (the old
-//     double comparison was lossy above 2^53);
+//     double comparison was lossy above 2^53) and fires before the
+//     in-memory ErdosRenyi allocates;
 //   - the chunked stream packs through extmem::BuildPackFromEdgeStream
 //     to byte-identical .gpack files at 1/2/8 threads.
 
@@ -303,23 +304,26 @@ TEST(StreamErdosRenyiTest, DensityCeilingDoesNotGrind) {
   for (const Edge& e : c.edges) EXPECT_NE(e.src, e.dst);
 }
 
+// A node count whose edge-space size n*(n-1) exceeds 2^53.
+constexpr NodeId kBeyondDoubleN = 100000000;
+constexpr std::uint64_t kBeyondDoubleMax =
+    std::uint64_t{kBeyondDoubleN} * (std::uint64_t{kBeyondDoubleN} - 1);
+
 TEST(StreamErdosRenyiTest, InfeasibleRequestAborts) {
   // n*(n-1) = 9999999900000000 > 2^53: IEEE doubles cannot represent
   // max+1 distinctly, so a `double(m) <= double(n)*(n-1)` check would
   // accept it. The guard is exact integer arithmetic.
-  const NodeId big_n = 100000000;
-  const std::uint64_t big_max = static_cast<std::uint64_t>(big_n) *
-                                (static_cast<std::uint64_t>(big_n) - 1);
-  ASSERT_EQ(static_cast<double>(big_max + 1), static_cast<double>(big_max))
+  ASSERT_EQ(static_cast<double>(kBeyondDoubleMax + 1),
+            static_cast<double>(kBeyondDoubleMax))
       << "test premise: max+1 must collapse onto max in double";
   struct Case {
     NodeId n;
     EdgeId m;
   };
   const Case cases[] = {
-      {64, 64 * 63 + 1},            // one past the density ceiling
-      {big_n, big_max + 1},         // past it above double precision
-      {1u << 16, EdgeId{1} << 60},  // absurd m
+      {64, 64 * 63 + 1},                       // one past the ceiling
+      {kBeyondDoubleN, kBeyondDoubleMax + 1},  // above double precision
+      {1u << 16, EdgeId{1} << 60},             // absurd m
   };
   for (const Case& c : cases) {
     EXPECT_DEATH(
@@ -331,17 +335,36 @@ TEST(StreamErdosRenyiTest, InfeasibleRequestAborts) {
         },
         "m exceeds n")
         << c.n << " nodes, " << c.m << " edges";
-    // The in-memory form reserves only after the stream's check, so it
-    // dies on the same CHECK, not in the allocator.
-    EXPECT_DEATH(
-        {
-          Rng rng(1);
-          Graph g = gen::ErdosRenyi(c.n, c.m, rng);
-          (void)g;
-        },
-        "m exceeds n")
-        << c.n << " nodes, " << c.m << " edges (in memory)";
   }
+}
+
+// ---------------------------------------------------------------------
+// In-memory ErdosRenyi guards: it drains the stream above, so the same
+// exact-integer CHECK fires, and before the graph allocates anything.
+// ---------------------------------------------------------------------
+
+TEST(ErdosRenyiGuardTest, ExactIntegerFeasibilityAboveDoublePrecision) {
+  EXPECT_DEATH(
+      {
+        Rng rng(1);
+        Graph g = gen::ErdosRenyi(kBeyondDoubleN, kBeyondDoubleMax + 1, rng);
+        (void)g;
+      },
+      "m exceeds n");
+}
+
+TEST(ErdosRenyiGuardTest, GuardsFireBeforeReserve) {
+  // An absurd m must die on the feasibility CHECK (clean abort with its
+  // message), not inside the allocator. BuildGraphFromEdgeStream reserves
+  // only at the first batch, after the stream's CHECK; the CHECK text in
+  // the death output is the proof the guard ran first.
+  EXPECT_DEATH(
+      {
+        Rng rng(1);
+        Graph g = gen::ErdosRenyi(1u << 16, EdgeId{1} << 60, rng);
+        (void)g;
+      },
+      "m exceeds n");
 }
 
 TEST(StreamBarabasiAlbertTest, SkewedInDegrees) {
