@@ -24,7 +24,7 @@
 ///   store/     binary graph packs (gpack), mmap zero-copy loading, and
 ///              the ordering artifact cache
 ///   extmem/    out-of-core pipeline: chunked edge streams, external
-///              CSR -> gpack build, semi-external ordering
+///              sort, external CSR -> gpack build
 ///   serve/     gorderd: the ordering-as-a-service daemon (wire
 ///              protocol, server loop, blocking client)
 ///   obs/       telemetry: sharded metrics, phase spans, run reports
@@ -38,8 +38,6 @@
 #include "compress/varint.h"
 #include "extmem/edge_stream.h"
 #include "extmem/ext_csr.h"
-#include "extmem/semi_external.h"
-#include "extmem/windowed_file.h"
 #include "gen/crawl_order.h"
 #include "gen/datasets.h"
 #include "gen/generators.h"

@@ -30,9 +30,9 @@
 namespace gorder::extmem {
 
 /// Knobs for the out-of-core pipeline. The memory budget governs the
-/// streaming state (run buffer, merge read buffers, pack write window) —
-/// the semi-external model additionally keeps O(n) vertex state in RAM,
-/// which is reported by EstimateMemory (ext_csr.h), not bounded here.
+/// streaming state (run buffer, merge read buffers); the O(n) vertex
+/// state the build and the ordering keep in RAM is reported by
+/// EstimateMemory (ext_csr.h), not bounded here.
 struct ExtmemOptions {
   /// Target for the streaming buffers. Default 256 MB.
   std::uint64_t mem_budget_bytes = 256ull << 20;
@@ -52,7 +52,6 @@ struct ExtBuildStats {
   std::uint64_t runs_written = 0;    // run files spilled (incl. compaction)
   std::uint64_t run_bytes = 0;       // bytes spilled to scratch
   std::uint64_t merge_passes = 0;    // compaction passes beyond the final
-  std::uint64_t window_remaps = 0;   // pack write-window advances
 };
 
 class MergeStream;

@@ -4,13 +4,10 @@
 #include <filesystem>
 #include <new>
 
-#include "extmem/windowed_file.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "store/fingerprint.h"
 #include "store/gpack.h"
-#include "util/atomic_file.h"
-#include "util/crc32.h"
 #include "util/failpoint.h"
 
 namespace gorder::extmem {
@@ -22,24 +19,18 @@ GORDER_FAILPOINT_DEFINE(fp_csr_alloc, "extmem.csr.alloc");
 GORDER_OBS_COUNTER(c_ext_builds, "extmem.pack_builds");
 GORDER_OBS_COUNTER(c_ext_edges, "extmem.edges_ingested");
 
-/// Streams one neighbor section: pulls edges off `merge`, emits
-/// `pick(edge)` as the next NodeId at `section_offset`, updating the
-/// running CRC and (optionally) the content fingerprint.
-template <typename Pick>
-IoResult StreamNeighborSection(MergeStream* merge, WindowedWriter* writer,
-                               std::uint64_t section_offset, Pick pick,
-                               std::uint32_t* crc, store::Hash64* fingerprint,
+/// Streams one neighbor section: appends the `dst` of every edge `merge`
+/// yields to `writer` and, when `fingerprint` is set, mixes it in.
+IoResult StreamNeighborSection(MergeStream* merge, store::GpackWriter* writer,
+                               store::Hash64* fingerprint,
                                std::uint64_t* count) {
   std::vector<NodeId> buf;
   buf.reserve(1u << 16);
   std::uint64_t written = 0;
   auto flush = [&]() -> IoResult {
     if (buf.empty()) return IoResult::Ok();
-    const std::uint64_t bytes = buf.size() * sizeof(NodeId);
-    IoResult r = writer->WriteAt(section_offset + written * sizeof(NodeId),
-                                 buf.data(), static_cast<std::size_t>(bytes));
+    IoResult r = writer->Append(buf.data(), buf.size() * sizeof(NodeId));
     if (!r.ok) return r;
-    *crc = Crc32(buf.data(), static_cast<std::size_t>(bytes), *crc);
     if (fingerprint != nullptr) {
       for (NodeId v : buf) fingerprint->Mix(v);
     }
@@ -53,13 +44,13 @@ IoResult StreamNeighborSection(MergeStream* merge, WindowedWriter* writer,
     if (IoResult r = merge->Next(&e, &eof); !r.ok) return r;
     if (eof) break;
     if (e.src == e.dst) continue;  // self-loops dropped, as in Builder
-    buf.push_back(pick(e));
+    buf.push_back(e.dst);
     if (buf.size() == buf.capacity()) {
       if (IoResult r = flush(); !r.ok) return r;
     }
   }
   if (IoResult r = flush(); !r.ok) return r;
-  if (count != nullptr) *count = written;
+  *count = written;
   return IoResult::Ok();
 }
 
@@ -166,79 +157,42 @@ IoResult ExtPackBuilder::FinishImpl() {
   fingerprint.Mix(m);
   for (EdgeId off : out_off) fingerprint.Mix(off);
 
-  const store::GpackLayout layout = store::ComputeGpackLayout(n, m);
-  const std::size_t window = std::clamp<std::size_t>(
-      static_cast<std::size_t>(options_.mem_budget_bytes / 4), 1u << 20,
-      256u << 20);
-  const std::string tmp = util::StagingPath(pack_path_);
-  WindowedWriter writer;
-  auto fail = [&](IoResult r) {
-    writer.Close();
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
-    return r;
-  };
-  if (IoResult r = writer.Create(tmp, layout.file_bytes, window); !r.ok) {
-    return fail(r);
-  }
-
-  std::uint32_t crcs[4] = {};
-  const std::uint64_t off_bytes = (n + 1) * sizeof(EdgeId);
-  crcs[0] = Crc32(out_off.data(), static_cast<std::size_t>(off_bytes));
-  crcs[2] = Crc32(in_off.data(), static_cast<std::size_t>(off_bytes));
-  if (IoResult r = writer.WriteAt(layout.out_offsets, out_off.data(),
-                                  static_cast<std::size_t>(off_bytes));
-      !r.ok) {
-    return fail(r);
-  }
-  if (IoResult r = writer.WriteAt(layout.in_offsets, in_off.data(),
-                                  static_cast<std::size_t>(off_bytes));
-      !r.ok) {
-    return fail(r);
-  }
-
+  // The four sections go out strictly in file order: both offset arrays
+  // are already in RAM, the neighbour lists come off the merges.
+  store::GpackWriter writer;
+  if (IoResult r = writer.Begin(pack_path_, n, m); !r.ok) return r;
+  const std::size_t off_bytes =
+      (static_cast<std::size_t>(n) + 1) * sizeof(EdgeId);
   std::uint64_t out_count = 0, in_count = 0;
+  if (IoResult r = writer.Append(out_off.data(), off_bytes); !r.ok) return r;
   {
     MergeStream merge;
-    if (IoResult r = forward_.OpenMerge(&merge); !r.ok) return fail(r);
-    if (IoResult r = StreamNeighborSection(
-            &merge, &writer, layout.out_neighbors,
-            [](const Edge& e) { return e.dst; }, &crcs[1], &fingerprint,
-            &out_count);
+    if (IoResult r = forward_.OpenMerge(&merge); !r.ok) return r;
+    if (IoResult r =
+            StreamNeighborSection(&merge, &writer, &fingerprint, &out_count);
         !r.ok) {
-      return fail(r);
+      return r;
     }
   }
+  if (IoResult r = writer.Append(in_off.data(), off_bytes); !r.ok) return r;
   {
     MergeStream merge;
-    if (IoResult r = transposed.OpenMerge(&merge); !r.ok) return fail(r);
+    if (IoResult r = transposed.OpenMerge(&merge); !r.ok) return r;
     // Transposed edges are (dst, src): sorted by dst then src, so the
     // second component streams exactly the in-neighbor lists.
-    if (IoResult r = StreamNeighborSection(
-            &merge, &writer, layout.in_neighbors,
-            [](const Edge& e) { return e.dst; }, &crcs[3], nullptr,
-            &in_count);
+    if (IoResult r = StreamNeighborSection(&merge, &writer, nullptr, &in_count);
         !r.ok) {
-      return fail(r);
+      return r;
     }
   }
   transposed.ReleaseScratch();
   if (out_count != m || in_count != m) {
-    return fail(IoResult::Error("merge replay disagreed on edge count (" +
-                                std::to_string(out_count) + "/" +
-                                std::to_string(in_count) + " vs " +
-                                std::to_string(m) + ")"));
+    return IoResult::Error("merge replay disagreed on edge count (" +
+                           std::to_string(out_count) + "/" +
+                           std::to_string(in_count) + " vs " +
+                           std::to_string(m) + ")");
   }
-
-  const std::string header =
-      store::SerializeGpackHeader(n, m, fingerprint.Digest(), crcs);
-  if (IoResult r = writer.WriteAt(0, header.data(), header.size()); !r.ok) {
-    return fail(r);
-  }
-  if (IoResult r = writer.Sync(); !r.ok) return fail(r);
-  writer.Close();
-  if (IoResult r = util::CommitStagedFile(tmp, pack_path_); !r.ok) return r;
-  stats_.window_remaps = writer.window_remaps();
+  if (IoResult r = writer.Finish(fingerprint.Digest()); !r.ok) return r;
   GORDER_OBS_INC(c_ext_builds);
   GORDER_OBS_ADD(c_ext_edges, stats_.edges_ingested);
   return IoResult::Ok();

@@ -12,14 +12,13 @@
 ///   pass A     k-way merge replay #1: counts m and the out-/in-degrees
 ///              (O(n) RAM) and spills the transposed edges (dst, src)
 ///              into a second sorter for the in-CSR.
-///   pass B     degrees prefix-sum into offsets; the pack file is
-///              created at its exact final size (store::ComputeGpackLayout)
-///              and merge replay #2 streams out_neighbors — then the
-///              transposed merge streams in_neighbors — through a
-///              bounded windowed mmap (WindowedWriter). Section CRCs
-///              and the content fingerprint accumulate incrementally.
-///   commit     header written last, fsync, atomic rename
-///              (util::CommitStagedFile).
+///   pass B     degrees prefix-sum into offsets; a store::GpackWriter
+///              then takes the four sections strictly in file order:
+///              out_offsets, out_neighbors (merge replay #2), in_offsets,
+///              in_neighbors (the transposed merge). The content
+///              fingerprint accumulates in stream order.
+///   commit     GpackWriter::Finish writes the header, fsyncs and
+///              renames atomically.
 ///
 /// The result is byte-identical to store::WritePack of the equivalent
 /// in-memory graph (same layout math, same dedup/sort semantics), which
@@ -100,7 +99,7 @@ struct MemoryEstimates {
   std::uint64_t copy_load_bytes = 0;  // heap for LoadMode::kCopy
   std::uint64_t inmem_build_peak_bytes = 0;  // edge list + CSR (FromEdges)
   std::uint64_t extmem_build_bytes = 0;      // vertex state + stream budget
-  std::uint64_t gorder_state_bytes = 0;      // semi-external Gorder RAM
+  std::uint64_t gorder_state_bytes = 0;      // Gorder RAM on a mapped pack
 };
 MemoryEstimates EstimateMemory(std::uint64_t num_nodes,
                                std::uint64_t num_edges,

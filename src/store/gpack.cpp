@@ -1,5 +1,7 @@
 #include "store/gpack.h"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdio>
@@ -97,36 +99,6 @@ std::uint32_t HeaderCrc(GpackHeader header,
              ? crc
              : Crc32(table.data(), table.size() * sizeof(GpackSectionEntry),
                      crc);
-}
-
-/// Streams `bytes` of `data` through fwrite in large chunks.
-bool WriteBuffered(std::FILE* f, const void* data, std::uint64_t bytes) {
-  constexpr std::uint64_t kChunk = 8ULL << 20;
-  const char* p = static_cast<const char*>(data);
-  while (bytes > 0) {
-    std::size_t step = static_cast<std::size_t>(std::min(bytes, kChunk));
-    if (GORDER_FAULT_IO(fp_pack_write, step, std::fwrite(p, 1, step, f)) !=
-        step) {
-      return false;
-    }
-    p += step;
-    bytes -= step;
-  }
-  return true;
-}
-
-bool WriteZeros(std::FILE* f, std::uint64_t bytes) {
-  char zeros[kSectionAlign] = {};
-  while (bytes > 0) {
-    std::size_t step = static_cast<std::size_t>(
-        std::min<std::uint64_t>(bytes, sizeof zeros));
-    if (GORDER_FAULT_IO(fp_pack_write, step, std::fwrite(zeros, 1, step, f)) !=
-        step) {
-      return false;
-    }
-    bytes -= step;
-  }
-  return true;
 }
 
 /// Validated view of a pack file: header, table and section extents all
@@ -307,6 +279,44 @@ IoResult CheckCsrInvariants(const std::string& path, const PackView& view) {
   return IoResult::Ok();
 }
 
+/// Section ids in file order. Offsets and neighbour sections alternate.
+constexpr SectionId kFileOrder[4] = {kOutOffsets, kOutNeighbors, kInOffsets,
+                                     kInNeighbors};
+
+/// Serialises the 64-byte header plus the four-entry section table — the
+/// first 192 bytes of a standard pack — from the section offsets, byte
+/// lengths and CRC32s in file order. Only GpackWriter::Finish calls it.
+std::string SerializeGpackHeader(std::uint64_t num_nodes,
+                                 std::uint64_t num_edges,
+                                 std::uint64_t fingerprint,
+                                 const std::array<std::uint64_t, 4>& offsets,
+                                 const std::array<std::uint64_t, 4>& sizes,
+                                 const std::array<std::uint32_t, 4>& crcs) {
+  GpackHeader header = {};
+  std::memcpy(header.magic, kMagic, sizeof kMagic);
+  header.format_version = kGpackFormatVersion;
+  header.header_bytes = sizeof(GpackHeader);
+  header.flags = kFlagHasInCsr;
+  header.num_nodes = num_nodes;
+  header.num_edges = num_edges;
+  header.fingerprint = fingerprint;
+  header.section_count = 4;
+
+  std::vector<GpackSectionEntry> table(4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::uint32_t item_bytes =
+        i % 2 == 0 ? sizeof(EdgeId) : sizeof(NodeId);
+    table[i] = {kFileOrder[i], item_bytes, offsets[i], sizes[i], crcs[i], 0};
+  }
+  header.header_crc = HeaderCrc(header, table);
+
+  std::string out(sizeof(GpackHeader) + 4 * sizeof(GpackSectionEntry), '\0');
+  std::memcpy(out.data(), &header, sizeof header);
+  std::memcpy(out.data() + sizeof header, table.data(),
+              4 * sizeof(GpackSectionEntry));
+  return out;
+}
+
 }  // namespace
 
 GpackLayout ComputeGpackLayout(std::uint64_t num_nodes,
@@ -329,91 +339,68 @@ GpackLayout ComputeGpackLayout(std::uint64_t num_nodes,
   return layout;
 }
 
-std::string SerializeGpackHeader(std::uint64_t num_nodes,
-                                 std::uint64_t num_edges,
-                                 std::uint64_t fingerprint,
-                                 const std::uint32_t crcs[4]) {
+GpackWriter::~GpackWriter() {
+  if (tmp_.empty()) return;
+  file_.reset();
+  std::error_code ec;
+  std::filesystem::remove(tmp_, ec);
+}
+
+IoResult GpackWriter::Fail(const std::string& error) {
+  file_.reset();
+  std::error_code ec;
+  std::filesystem::remove(tmp_, ec);
+  tmp_.clear();
+  return IoResult::Error(error);
+}
+
+bool GpackWriter::Write(const void* data, std::uint64_t bytes) {
+  constexpr std::uint64_t kChunk = 8ULL << 20;
+  const char* p = static_cast<const char*>(data);
+  while (bytes > 0) {
+    const auto step = static_cast<std::size_t>(std::min(bytes, kChunk));
+    if (GORDER_FAULT_IO(fp_pack_write, step,
+                        std::fwrite(p, 1, step, file_.get())) != step) {
+      return false;
+    }
+    p += step;
+    bytes -= step;
+    pos_ += step;
+  }
+  return true;
+}
+
+bool GpackWriter::PadTo(std::uint64_t offset) {
+  // Covers the whole header reservation in one write, and any section
+  // padding (at most kSectionAlign - 1 bytes).
+  static constexpr char kZeros[256] = {};
+  while (pos_ < offset) {
+    const std::uint64_t step =
+        std::min<std::uint64_t>(offset - pos_, sizeof kZeros);
+    if (!Write(kZeros, step)) return false;
+  }
+  return true;
+}
+
+void GpackWriter::SkipFullSections() {
+  while (section_ < 4 && filled_ == size_[section_]) {
+    ++section_;
+    filled_ = 0;
+  }
+}
+
+IoResult GpackWriter::Begin(const std::string& path, std::uint64_t num_nodes,
+                            std::uint64_t num_edges) {
+  path_ = path;
+  num_nodes_ = num_nodes;
+  num_edges_ = num_edges;
   const GpackLayout layout = ComputeGpackLayout(num_nodes, num_edges);
   const std::uint64_t off_bytes = (num_nodes + 1) * sizeof(EdgeId);
   const std::uint64_t nbr_bytes = num_edges * sizeof(NodeId);
+  offset_ = {layout.out_offsets, layout.out_neighbors, layout.in_offsets,
+             layout.in_neighbors};
+  size_ = {off_bytes, nbr_bytes, off_bytes, nbr_bytes};
 
-  GpackHeader header = {};
-  std::memcpy(header.magic, kMagic, sizeof kMagic);
-  header.format_version = kGpackFormatVersion;
-  header.header_bytes = sizeof(GpackHeader);
-  header.flags = kFlagHasInCsr;
-  header.num_nodes = num_nodes;
-  header.num_edges = num_edges;
-  header.fingerprint = fingerprint;
-  header.section_count = 4;
-
-  std::vector<GpackSectionEntry> table(4);
-  const struct {
-    std::uint32_t id;
-    std::uint32_t item_bytes;
-    std::uint64_t offset;
-    std::uint64_t bytes;
-  } sections[4] = {
-      {kOutOffsets, sizeof(EdgeId), layout.out_offsets, off_bytes},
-      {kOutNeighbors, sizeof(NodeId), layout.out_neighbors, nbr_bytes},
-      {kInOffsets, sizeof(EdgeId), layout.in_offsets, off_bytes},
-      {kInNeighbors, sizeof(NodeId), layout.in_neighbors, nbr_bytes},
-  };
-  for (std::size_t i = 0; i < 4; ++i) {
-    table[i].id = sections[i].id;
-    table[i].item_bytes = sections[i].item_bytes;
-    table[i].offset = sections[i].offset;
-    table[i].bytes = sections[i].bytes;
-    table[i].crc32 = crcs[i];
-    table[i].reserved = 0;
-  }
-  header.header_crc = HeaderCrc(header, table);
-
-  std::string out(sizeof(GpackHeader) + 4 * sizeof(GpackSectionEntry), '\0');
-  std::memcpy(out.data(), &header, sizeof header);
-  std::memcpy(out.data() + sizeof header, table.data(),
-              4 * sizeof(GpackSectionEntry));
-  return out;
-}
-
-IoResult WritePack(const std::string& path, const Graph& graph) {
-  GORDER_OBS_SPAN(span, "store.pack_write");
-  const std::uint64_t n = graph.NumNodes();
-  const std::uint64_t m = graph.NumEdges();
-  const GpackLayout layout = ComputeGpackLayout(n, m);
-  const std::uint64_t off_bytes = (n + 1) * sizeof(EdgeId);
-  const std::uint64_t nbr_bytes = m * sizeof(NodeId);
-  const struct {
-    std::uint64_t offset;
-    const void* data;
-    std::uint64_t bytes;
-  } payloads[4] = {
-      {layout.out_offsets, graph.out_offsets().data(), off_bytes},
-      {layout.out_neighbors, graph.out_neighbors().data(), nbr_bytes},
-      {layout.in_offsets, graph.in_offsets().data(), off_bytes},
-      {layout.in_neighbors, graph.in_neighbors().data(), nbr_bytes},
-  };
-
-  // Fingerprint and the four payload CRCs are independent scans; run them
-  // concurrently on the shared pool.
-  std::uint64_t fingerprint = 0;
-  std::uint32_t crcs[4] = {};
-  ParallelInvoke(
-      [&] { fingerprint = GraphFingerprint(graph); },
-      [&] {
-        crcs[0] = Crc32(payloads[0].data, payloads[0].bytes);
-        crcs[1] = Crc32(payloads[1].data, payloads[1].bytes);
-      },
-      [&] {
-        crcs[2] = Crc32(payloads[2].data, payloads[2].bytes);
-        crcs[3] = Crc32(payloads[3].data, payloads[3].bytes);
-      });
-  const std::string header = SerializeGpackHeader(n, m, fingerprint, crcs);
-
-  // Stage to a writer-unique temp file next to the target, fsync, and
-  // rename on success: a crashed or concurrent writer can never leave a
-  // half-written pack under the final name, and the rename only happens
-  // once the bytes are on stable storage.
   std::error_code ec;
   const std::filesystem::path target(path);
   if (target.has_parent_path()) {
@@ -423,25 +410,88 @@ IoResult WritePack(const std::string& path, const Graph& graph) {
   if (GORDER_FAILPOINT(fp_pack_open) != util::FaultKind::kNone) {
     return IoResult::Error("cannot open " + tmp + " for writing");
   }
-  {
-    util::FilePtr f(std::fopen(tmp.c_str(), "wb"));
-    if (!f) return IoResult::Error("cannot open " + tmp + " for writing");
-    bool ok = WriteBuffered(f.get(), header.data(), header.size());
-    std::uint64_t pos = header.size();
-    for (std::size_t i = 0; ok && i < 4; ++i) {
-      ok = WriteZeros(f.get(), payloads[i].offset - pos) &&
-           WriteBuffered(f.get(), payloads[i].data, payloads[i].bytes);
-      pos = payloads[i].offset + payloads[i].bytes;
+  file_.reset(std::fopen(tmp.c_str(), "wb"));
+  if (!file_) return IoResult::Error("cannot open " + tmp + " for writing");
+  tmp_ = tmp;
+  if (!PadTo(offset_[0])) return Fail("short write to " + tmp_);
+  return IoResult::Ok();
+}
+
+IoResult GpackWriter::Append(const void* data, std::size_t bytes) {
+  if (!file_) return IoResult::Error(path_ + ": pack writer is not open");
+  const char* p = static_cast<const char*>(data);
+  while (bytes > 0) {
+    SkipFullSections();
+    if (section_ == 4) {
+      return Fail(path_ + ": append past the last pack section");
     }
-    if (!ok || !util::FlushAndSync(f.get())) {
-      f.reset();
-      std::filesystem::remove(tmp, ec);
-      return IoResult::Error("short write to " + tmp);
+    const auto take = static_cast<std::size_t>(
+        std::min<std::uint64_t>(bytes, size_[section_] - filled_));
+    if (!PadTo(offset_[section_]) || !Write(p, take)) {
+      return Fail("short write to " + tmp_);
     }
+    crc_[section_] = Crc32(p, take, crc_[section_]);
+    filled_ += take;
+    p += take;
+    bytes -= take;
   }
-  if (IoResult r = util::CommitStagedFile(tmp, path); !r.ok) return r;
+  return IoResult::Ok();
+}
+
+IoResult GpackWriter::Finish(std::uint64_t fingerprint) {
+  if (!file_) return IoResult::Error(path_ + ": pack writer is not open");
+  SkipFullSections();
+  if (section_ < 4) {
+    return Fail(path_ + ": section " + SectionName(kFileOrder[section_]) +
+                " got " + std::to_string(filled_) + " of " +
+                std::to_string(size_[section_]) + " bytes");
+  }
+  const std::string header = SerializeGpackHeader(
+      num_nodes_, num_edges_, fingerprint, offset_, size_, crc_);
+  if (!PadTo(offset_[3] + size_[3]) ||
+      std::fseek(file_.get(), 0, SEEK_SET) != 0 ||
+      !Write(header.data(), header.size()) ||
+      !util::FlushAndSync(file_.get()) || std::fclose(file_.release()) != 0) {
+    return Fail("short write to " + tmp_);
+  }
+  const std::string tmp = std::move(tmp_);
+  tmp_.clear();
+  return util::CommitStagedFile(tmp, path_);
+}
+
+IoResult WritePack(const std::string& path, const Graph& graph) {
+  GORDER_OBS_SPAN(span, "store.pack_write");
+  const std::uint64_t n = graph.NumNodes();
+  const std::uint64_t m = graph.NumEdges();
+  GpackWriter writer;
+  if (IoResult r = writer.Begin(path, n, m); !r.ok) return r;
+  const std::uint64_t off_bytes = (n + 1) * sizeof(EdgeId);
+  const std::uint64_t nbr_bytes = m * sizeof(NodeId);
+  const struct {
+    const void* data;
+    std::uint64_t bytes;
+  } payloads[4] = {
+      {graph.out_offsets().data(), off_bytes},
+      {graph.out_neighbors().data(), nbr_bytes},
+      {graph.in_offsets().data(), off_bytes},
+      {graph.in_neighbors().data(), nbr_bytes},
+  };
+  // The fingerprint is an independent scan of the same arrays; it runs
+  // on the pool while the payloads stream out.
+  std::uint64_t fingerprint = 0;
+  IoResult written;
+  ParallelInvoke([&] { fingerprint = GraphFingerprint(graph); },
+                 [&] {
+                   for (const auto& p : payloads) {
+                     written = writer.Append(
+                         p.data, static_cast<std::size_t>(p.bytes));
+                     if (!written.ok) return;
+                   }
+                 });
+  if (!written.ok) return written;
+  if (IoResult r = writer.Finish(fingerprint); !r.ok) return r;
   GORDER_OBS_INC(c_pack_write);
-  GORDER_OBS_ADD(c_pack_write_bytes, layout.file_bytes);
+  GORDER_OBS_ADD(c_pack_write_bytes, ComputeGpackLayout(n, m).file_bytes);
   return IoResult::Ok();
 }
 
@@ -509,11 +559,14 @@ IoResult ReadPackInfo(const std::string& path, GpackInfo* info) {
 }
 
 IoResult VerifyPack(const std::string& path) {
-  Graph g;
-  IoResult r = LoadPack(path, &g, LoadMode::kMmap);
-  if (!r.ok) return r;
+  // Header first: its mapping is gone before LoadPack maps the pack, so
+  // the file is never mapped twice at once (address space under a
+  // `ulimit -v` cap).
   GpackInfo info;
-  if (r = ReadPackInfo(path, &info); !r.ok) return r;
+  IoResult r = ReadPackInfo(path, &info);
+  if (!r.ok) return r;
+  Graph g;
+  if (r = LoadPack(path, &g, LoadMode::kMmap); !r.ok) return r;
   if (GraphFingerprint(g) != info.fingerprint) {
     return IoResult::Error(path +
                            ": content fingerprint mismatch (header does not "

@@ -1,12 +1,14 @@
 #ifndef GORDER_STORE_GPACK_H_
 #define GORDER_STORE_GPACK_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "graph/edgelist_io.h"  // IoResult
 #include "graph/graph.h"
+#include "util/file_ptr.h"
 
 namespace gorder::store {
 
@@ -57,36 +59,75 @@ struct GpackInfo {
 };
 
 /// Byte layout of a standard four-section pack, computed from (n, m)
-/// alone. The in-memory writer (WritePack) and the external-memory
-/// builder (src/extmem) both derive their file layout from this, so a
-/// pack built out-of-core is byte-identical to one written from an
-/// in-memory graph with the same CSR content.
+/// alone. GpackWriter lays out every pack with it, and EstimateMemory
+/// (src/extmem) sizes one without writing it.
 struct GpackLayout {
   std::uint64_t out_offsets = 0;    // file offset of each section payload
   std::uint64_t out_neighbors = 0;
   std::uint64_t in_offsets = 0;
   std::uint64_t in_neighbors = 0;
   std::uint64_t file_bytes = 0;     // total file size (ends at the last
-                                    // payload byte, like WritePack)
+                                    // payload byte)
 };
 GpackLayout ComputeGpackLayout(std::uint64_t num_nodes,
                                std::uint64_t num_edges);
 
-/// Serialises the 64-byte header plus the four-entry section table for a
-/// standard pack — the first 192 bytes of the file. `crcs` are the
-/// payload CRC32s in section order (out_offsets, out_neighbors,
-/// in_offsets, in_neighbors). Everything between the returned prefix and
-/// the first payload (and between payloads) is zero padding. WritePack
-/// and the external-memory builder both write exactly this prefix.
-std::string SerializeGpackHeader(std::uint64_t num_nodes,
-                                 std::uint64_t num_edges,
-                                 std::uint64_t fingerprint,
-                                 const std::uint32_t crcs[4]);
+/// The one .gpack writer. Streams a standard four-section pack front to
+/// back: the caller appends the payload bytes in file order
+/// (out_offsets, out_neighbors, in_offsets, in_neighbors) in chunks of
+/// any size; the writer inserts the 64-byte alignment padding, keeps
+/// each section's running CRC, and writes the header last. WritePack
+/// (an in-memory Graph) and extmem::ExtPackBuilder (merge output) both
+/// write through it, so their packs are byte-identical for equal CSR
+/// content.
+///
+/// The bytes go to a writer-unique staging file (util::StagingPath)
+/// that Finish fsyncs and renames onto the final path; any failure, or
+/// destruction before Finish, removes it, so a reader never sees a
+/// partial pack and no `.tmp.` debris survives.
+class GpackWriter {
+ public:
+  GpackWriter() = default;
+  ~GpackWriter();
+  GpackWriter(const GpackWriter&) = delete;
+  GpackWriter& operator=(const GpackWriter&) = delete;
 
-/// Writes `graph` as a gpack at `path` (atomically: staged to a
-/// temporary file in the same directory, then renamed). Buffered
-/// streaming — the CSR arrays are written in large chunks, never
-/// element-at-a-time.
+  /// Opens the staging file for a pack of `num_nodes` nodes and
+  /// `num_edges` edges and reserves its header and section table.
+  IoResult Begin(const std::string& path, std::uint64_t num_nodes,
+                 std::uint64_t num_edges);
+
+  /// Appends the next `bytes` payload bytes in file order. Appending
+  /// past the end of the last section is an error.
+  IoResult Append(const void* data, std::size_t bytes);
+
+  /// Checks that every section received exactly its bytes, writes the
+  /// header (with `fingerprint`, the GraphFingerprint of the content),
+  /// fsyncs and commits the pack to its final path.
+  IoResult Finish(std::uint64_t fingerprint);
+
+ private:
+  IoResult Fail(const std::string& error);
+  bool Write(const void* data, std::uint64_t bytes);
+  bool PadTo(std::uint64_t offset);
+  void SkipFullSections();
+
+  std::string path_;
+  std::string tmp_;
+  util::FilePtr file_;  // open from Begin until Finish or Fail
+  std::uint64_t num_nodes_ = 0;
+  std::uint64_t num_edges_ = 0;
+  std::array<std::uint64_t, 4> offset_{};  // payload offsets, file order
+  std::array<std::uint64_t, 4> size_{};    // payload bytes
+  std::array<std::uint32_t, 4> crc_{};
+  std::size_t section_ = 0;       // section being filled (4: all full)
+  std::uint64_t filled_ = 0;      // bytes of section_ written so far
+  std::uint64_t pos_ = 0;         // bytes written to the file
+};
+
+/// Writes `graph` as a gpack at `path` through a GpackWriter (staged,
+/// fsynced, renamed). The content fingerprint is computed concurrently
+/// with the write.
 IoResult WritePack(const std::string& path, const Graph& graph);
 
 /// Loads a gpack. kMmap (default) maps the file and hands the Graph

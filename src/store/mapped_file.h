@@ -14,8 +14,7 @@ namespace gorder::store {
 /// The mapping lives until the last shared_ptr to it is dropped; Graph
 /// arrays loaded zero-copy from a gpack hold such a pointer as their
 /// keep-alive, so closing a Store or dropping the original handle never
-/// invalidates a live graph. On platforms without mmap the file is read
-/// into a heap buffer instead — same interface, one copy.
+/// invalidates a live graph.
 class MappedFile {
  public:
   /// Maps `path` read-only. On success `*out` holds the mapping; on
@@ -30,15 +29,12 @@ class MappedFile {
 
   const std::byte* data() const { return data_; }
   std::size_t size() const { return size_; }
-  /// True when backed by a real mmap (false: heap-buffer fallback).
-  bool zero_copy() const { return mmapped_; }
 
  private:
   MappedFile() = default;
 
   const std::byte* data_ = nullptr;
   std::size_t size_ = 0;
-  bool mmapped_ = false;
 };
 
 }  // namespace gorder::store

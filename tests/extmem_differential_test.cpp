@@ -1,10 +1,11 @@
 // The out-of-core acceptance differential: for every dataset in the
 // registry, at 1/2/8 threads, (a) the external-memory CSR build emits a
 // .gpack byte-identical to store::WritePack of the in-memory graph, and
-// (b) semi-external Gorder and BOBA over the mapped pack return exactly
-// the permutation the in-memory path computes. Edges are fed to the
-// extmem builder shuffled and laced with duplicates, so the disk-backed
-// sort/merge — not input order — is what produces the CSR.
+// (b) Gorder and BOBA over the zero-copy mapped pack (the out-of-core
+// ordering: O(n) vertex state in RAM, adjacency paged from disk) return
+// exactly the permutation the in-memory path computes. Edges are fed to
+// the extmem builder shuffled and laced with duplicates, so the
+// disk-backed sort/merge — not input order — is what produces the CSR.
 
 #include <gtest/gtest.h>
 
@@ -72,24 +73,24 @@ TEST_P(ExtmemDifferentialTest, PackAndOrderingsMatchInMemoryPath) {
     ASSERT_TRUE(ReadAll(ext_pack) == ReadAll(mem_pack))
         << spec.name << ": extmem pack not byte-identical";
 
-    // Semi-external orderings vs the in-memory kernels.
+    // Orderings over the zero-copy mapped pack vs the in-memory kernels.
+    Graph mapped;
+    IoResult lr = store::LoadPack(ext_pack, &mapped, store::LoadMode::kMmap);
+    ASSERT_TRUE(lr.ok) << lr.error;
+    EXPECT_TRUE(mapped.IsMapped());
+    EXPECT_GT(mapped.MemoryBytes(), 0u);
     for (const order::Method method :
          {order::Method::kGorder, order::Method::kBoba}) {
       SCOPED_TRACE(order::MethodName(method));
       order::OrderingParams params;
       const std::vector<NodeId> expect =
           order::ComputeOrdering(graph, method, params);
-      std::vector<NodeId> got;
-      extmem::SemiExternalInfo info;
-      IoResult sr = extmem::SemiExternalOrder(ext_pack, method, params,
-                                              &got, &info);
-      ASSERT_TRUE(sr.ok) << sr.error;
-      EXPECT_TRUE(info.zero_copy);
-      EXPECT_GT(info.pack_bytes, 0u);
+      const std::vector<NodeId> got =
+          order::ComputeOrdering(mapped, method, params);
       ASSERT_EQ(expect.size(), got.size());
       EXPECT_TRUE(expect == got)
           << spec.name << "/" << order::MethodName(method)
-          << ": semi-external permutation differs from in-memory";
+          << ": mapped-pack permutation differs from in-memory";
     }
   }
 }

@@ -4,7 +4,7 @@
 // builds, run boundaries landing inside one vertex's adjacency,
 // duplicates and self-loops scattered across chunks, and forced
 // multi-pass merges. Plus the streaming ingest (text edge lists,
-// chunked R-MAT) and the windowed mmap writer underneath it all.
+// chunked R-MAT).
 
 #include <gtest/gtest.h>
 
@@ -224,63 +224,6 @@ TEST(EdgeListStreamTest, StreamToPackMatchesInMemoryPipeline) {
   ASSERT_TRUE(ReadEdgeList(txt, &graph).ok);
   ASSERT_TRUE(store::WritePack(mem_pack, graph).ok);
   EXPECT_TRUE(ReadAll(ext_pack) == ReadAll(mem_pack));
-}
-
-// ---------------------------------------------------------------------------
-// Windowed writer
-
-TEST(WindowedWriterTest, SlidingWindowWritesWholeFile) {
-  const ScopedTempDir dir;
-  const std::string file = dir.Path("windowed.bin");
-  const std::size_t total = 256 * 1024 + 123;
-  std::string expect(total, '\0');
-  for (std::size_t i = 0; i < total; ++i) {
-    expect[i] = static_cast<char>((i * 131) & 0xFF);
-  }
-  extmem::WindowedWriter writer;
-  // A 4KB window forces many remaps over 256KB.
-  ASSERT_TRUE(writer.Create(file, total, 4096).ok);
-  std::size_t pos = 0;
-  std::size_t step = 1;
-  while (pos < total) {
-    const std::size_t n = std::min(step, total - pos);
-    ASSERT_TRUE(writer.WriteAt(pos, expect.data() + pos, n).ok);
-    pos += n;
-    step = step * 3 % 9973 + 1;  // varied, sometimes window-crossing sizes
-  }
-  // Out-of-order fixup write (the header path of the pack builder).
-  ASSERT_TRUE(writer.WriteAt(0, expect.data(), 64).ok);
-  ASSERT_TRUE(writer.Sync().ok);
-  writer.Close();
-  EXPECT_GT(writer.window_remaps(), 10u);
-  EXPECT_TRUE(ReadAll(file) == expect);
-}
-
-TEST(WindowedWriterTest, RejectsWritePastEnd) {
-  const ScopedTempDir dir;
-  const std::string file = dir.Path("short.bin");
-  extmem::WindowedWriter writer;
-  ASSERT_TRUE(writer.Create(file, 100, 4096).ok);
-  char byte = 1;
-  EXPECT_FALSE(writer.WriteAt(100, &byte, 1).ok);
-  EXPECT_TRUE(writer.WriteAt(99, &byte, 1).ok);
-}
-
-TEST(WindowedWriterTest, UntouchedRangesReadBackAsZeros) {
-  const ScopedTempDir dir;
-  const std::string file = dir.Path("sparse.bin");
-  extmem::WindowedWriter writer;
-  ASSERT_TRUE(writer.Create(file, 64 * 1024, 8192).ok);
-  const char marker[4] = {'x', 'y', 'z', 'w'};
-  ASSERT_TRUE(writer.WriteAt(60000, marker, sizeof marker).ok);
-  ASSERT_TRUE(writer.Sync().ok);
-  writer.Close();
-  const std::string bytes = ReadAll(file);
-  ASSERT_EQ(bytes.size(), 64u * 1024);
-  EXPECT_EQ(bytes[0], '\0');
-  EXPECT_EQ(bytes[59999], '\0');
-  EXPECT_EQ(bytes[60000], 'x');
-  EXPECT_EQ(bytes[60003], 'w');
 }
 
 // ---------------------------------------------------------------------------

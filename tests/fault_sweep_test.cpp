@@ -57,7 +57,10 @@ struct PipelineOutcome {
   bool saved_ordering = false, loaded_ordering = false;
   bool wrote_trace = false;
   bool ext_packed = false;          // extmem build committed a pack
-  bool ext_ordered = false;         // semi-external ordering succeeded
+  bool ext_ordered = false;         // ordering over the mapped pack ran
+  // Failpoint hits counted before the extmem build started, so a spec
+  // can aim a fault at a hit inside it.
+  std::map<std::string, std::uint64_t> hits_before_ext;
   std::uint64_t ext_fp = 0;         // fingerprint of the extmem pack
   std::vector<NodeId> ext_perm;
   bool serve_started = false;       // daemon bound its socket
@@ -147,12 +150,15 @@ PipelineOutcome RunPipeline(const std::string& dir) {
   if (!out.wrote_trace) out.errors.push_back("WriteChromeTrace failed");
 
   // 8. Out-of-core pipeline (src/extmem): stream the text edge list
-  // through the external sorter into a windowed-mmap pack build, then
-  // run a semi-external ordering over the mapped result. Tiny buffers
-  // and fan-in force run spills and compaction merges, so this drives
-  // every extmem.* failpoint. A fault may cost the pack (nothing at the
-  // final path) or the ordering — never debris or a partial file.
+  // through the external sorter into a GpackWriter pack build, then order
+  // the zero-copy mapped result. Tiny buffers and fan-in force run spills
+  // and compaction merges, so this drives every extmem.* failpoint. A
+  // fault may cost the pack (nothing at the final path) or the ordering —
+  // never debris or a partial file.
   if (out.wrote_edgelist) {
+    for (const auto& info : util::SnapshotFailpoints()) {
+      out.hits_before_ext[info.name] = info.hits;
+    }
     const std::string ext_pack = dir + "/ext.gpack";
     extmem::ExtmemOptions eopts;
     eopts.mem_budget_bytes = 1ull << 20;
@@ -166,8 +172,12 @@ PipelineOutcome RunPipeline(const std::string& dir) {
       if (note(store::LoadPack(ext_pack, &g, store::LoadMode::kCopy))) {
         out.ext_fp = store::GraphFingerprint(g);
       }
-      out.ext_ordered = note(
-          extmem::SemiExternalOrder(ext_pack, method, Params(), &out.ext_perm));
+      Graph mapped;
+      out.ext_ordered =
+          note(store::LoadPack(ext_pack, &mapped, store::LoadMode::kMmap));
+      if (out.ext_ordered) {
+        out.ext_perm = order::ComputeOrdering(mapped, method, Params());
+      }
     }
   }
 
@@ -334,7 +344,7 @@ void CheckInvariants(const PipelineOutcome& out,
     EXPECT_EQ(out.loaded_perm, baseline.perm) << context;
   }
   // An extmem build that reported success must have produced the same
-  // graph the text loader read, and a successful semi-external run is
+  // graph the text loader read, and an ordering over the mapped pack is
   // bit-identical to the in-memory ordering.
   if (out.ext_packed && out.ext_fp != 0) {
     EXPECT_EQ(out.ext_fp, baseline.ext_fp) << context;
@@ -443,16 +453,28 @@ TEST_F(FaultSweepTest, OneFaultAtATimeDegradesCleanly) {
     }
   }
 
-  // A handful of deeper faults: later hits and sticky arming.
-  for (const char* spec : {"store.pack_write.write=short@3",
-                           "graph.write_edgelist.write=enospc@2",
-                           "util.atomic.sync=err@2",
-                           "store.map.open=err@1+",
-                           "util.atomic.rename=err@1+",
-                           "extmem.run.write=short@2",
-                           "extmem.merge.read=err@3",
-                           "extmem.pack.write=enospc@2",
-                           "extmem.pack.sync=err@1+"}) {
+  // A handful of deeper faults: later hits and sticky arming. The pack
+  // writer and the staged-write sync also run before the extmem build
+  // (the store's WritePack, the artifact writers), so the last two specs
+  // count past the baseline's hits up to that point: they land inside
+  // the extmem build, which must then fail cleanly.
+  auto hit_in_ext = [&](const std::string& name, std::uint64_t nth) {
+    return std::to_string(baseline.hits_before_ext.at(name) + nth);
+  };
+  const std::string ext_write =
+      "store.pack_write.write=enospc@" +
+      hit_in_ext("store.pack_write.write", 2);
+  const std::string ext_sync =
+      "util.atomic.sync=err@" + hit_in_ext("util.atomic.sync", 1) + "+";
+  for (const std::string& spec :
+       std::vector<std::string>{"store.pack_write.write=short@3",
+                                "graph.write_edgelist.write=enospc@2",
+                                "util.atomic.sync=err@2",
+                                "store.map.open=err@1+",
+                                "util.atomic.rename=err@1+",
+                                "extmem.run.write=short@2",
+                                "extmem.merge.read=err@3", ext_write,
+                                ext_sync}) {
     SCOPED_TRACE(spec);
     std::string error;
     ASSERT_TRUE(util::ArmFailpointsFromSpec(spec, &error)) << error;
@@ -461,6 +483,10 @@ TEST_F(FaultSweepTest, OneFaultAtATimeDegradesCleanly) {
     util::DisarmAllFailpoints();
     CheckInvariants(out, baseline, spec);
     CheckArtifacts(dir, baseline);
+    if (spec == ext_write || spec == ext_sync) {
+      EXPECT_TRUE(out.wrote_edgelist);
+      EXPECT_FALSE(out.ext_packed) << "fault missed the extmem build";
+    }
     util::ResetFailpointCounters();
     std::error_code ec;
     fs::remove_all(dir, ec);

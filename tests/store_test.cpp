@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -98,9 +100,6 @@ TEST(GpackRoundTrip, AllRegisteredDatasetsSmallScale) {
   }
 }
 
-// The serving contract behind zero-copy loading: every kernel produces
-// bit-identical results on an owned and an mmap-backed graph, at every
-// thread count.
 // store.pack_write_bytes counts the bytes of the pack on disk. The file
 // ends at the last payload byte, not at a 64-byte section boundary, so
 // a graph whose m * 4 is not a multiple of 64 tells the two apart.
@@ -117,6 +116,89 @@ TEST(GpackRoundTrip, PackWriteBytesCounterEqualsFileSize) {
   EXPECT_EQ(written.Value() - before, fs::file_size(pack));
 }
 
+// GpackWriter contract. The one pack writer takes payload bytes in file
+// order in chunks of any size and commits only a complete pack.
+
+/// The four CSR payloads of `g` concatenated in file order.
+std::string PayloadBytes(const Graph& g) {
+  const std::size_t n_off = static_cast<std::size_t>(g.NumNodes()) + 1;
+  const std::size_t m = g.NumEdges();
+  std::string bytes;
+  auto add = [&](const void* data, std::size_t len) {
+    bytes.append(static_cast<const char*>(data), len);
+  };
+  add(g.out_offsets().data(), n_off * sizeof(EdgeId));
+  add(g.out_neighbors().data(), m * sizeof(NodeId));
+  add(g.in_offsets().data(), n_off * sizeof(EdgeId));
+  add(g.in_neighbors().data(), m * sizeof(NodeId));
+  return bytes;
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(GpackWriterTest, ShortSectionFailsFinishWithoutDebris) {
+  const ScopedTempDir dir;
+  const std::string pack = dir.Path("short.gpack");
+  const Graph g = Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}});
+  const std::string payload = PayloadBytes(g);
+  store::GpackWriter writer;
+  ASSERT_TRUE(writer.Begin(pack, g.NumNodes(), g.NumEdges()).ok);
+  // All of out_offsets, then out_neighbors one id short.
+  const std::size_t short_end =
+      (g.NumNodes() + 1) * sizeof(EdgeId) +
+      (g.NumEdges() - 1) * sizeof(NodeId);
+  ASSERT_TRUE(writer.Append(payload.data(), short_end).ok);
+  const IoResult r = writer.Finish(store::GraphFingerprint(g));
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("out_neighbors"), std::string::npos) << r.error;
+  EXPECT_FALSE(fs::exists(pack));
+  EXPECT_TRUE(fs::is_empty(dir.path())) << "staging debris left behind";
+}
+
+TEST(GpackWriterTest, RejectsAppendPastLastSection) {
+  const ScopedTempDir dir;
+  const std::string pack = dir.Path("long.gpack");
+  const Graph g = Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}});
+  const std::string payload = PayloadBytes(g) + "x";
+  store::GpackWriter writer;
+  ASSERT_TRUE(writer.Begin(pack, g.NumNodes(), g.NumEdges()).ok);
+  EXPECT_FALSE(writer.Append(payload.data(), payload.size()).ok);
+  EXPECT_FALSE(writer.Finish(store::GraphFingerprint(g)).ok);
+  EXPECT_FALSE(fs::exists(pack));
+  EXPECT_TRUE(fs::is_empty(dir.path())) << "staging debris left behind";
+}
+
+TEST(GpackWriterTest, ChunkedAppendsAreByteEqualToWritePack) {
+  const ScopedTempDir dir;
+  for (auto& [tag, g] : InterestingGraphs()) {
+    SCOPED_TRACE(tag);
+    const std::string via_pack = dir.Path(tag + ".pack.gpack");
+    const std::string via_writer = dir.Path(tag + ".writer.gpack");
+    ASSERT_TRUE(store::WritePack(via_pack, g).ok);
+
+    // Varied chunk sizes, many of them straddling a section boundary.
+    const std::string payload = PayloadBytes(g);
+    store::GpackWriter writer;
+    ASSERT_TRUE(writer.Begin(via_writer, g.NumNodes(), g.NumEdges()).ok);
+    std::size_t pos = 0, step = 1;
+    while (pos < payload.size()) {
+      const std::size_t len = std::min(step, payload.size() - pos);
+      ASSERT_TRUE(writer.Append(payload.data() + pos, len).ok);
+      pos += len;
+      step = step * 7 % 997 + 1;
+    }
+    ASSERT_TRUE(writer.Finish(store::GraphFingerprint(g)).ok);
+    EXPECT_TRUE(ReadFileBytes(via_writer) == ReadFileBytes(via_pack));
+  }
+}
+
+// The serving contract behind zero-copy loading: every kernel produces
+// bit-identical results on an owned and an mmap-backed graph, at every
+// thread count.
 TEST(GpackKernels, IdenticalOwnedVsMappedAtAnyThreadCount) {
   const ScopedTempDir dir;
   Graph g = gen::MakeDataset("flickr", 0.08, 11);

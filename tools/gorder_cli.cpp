@@ -2,10 +2,12 @@
 // release was used: read an edge list, reorder it, write it back out.
 //
 // Usage:
-//   gorder_cli --cmd=order   --in=g.txt --out=g_gorder.txt
+//   gorder_cli --cmd=order   --in=g.txt [--out=g_gorder.txt] [--map=perm.txt]
 //              [--method=Gorder] [--window=5] [--seed=42] [--threads=N]
 //              [--lazy] (Gorder lazy decrements) [--verbose] (per-phase
 //              timing: score updates, heap ops, window maintenance)
+//              (needs --out, --map or both: --out relabels and writes the
+//               reordered graph, --map writes the "old_id new_id" map)
 //   gorder_cli --cmd=stats   --in=g.txt
 //   gorder_cli --cmd=score   --in=g.txt [--window=5]
 //   gorder_cli --cmd=gen     --dataset=flickr --scale=0.5 --out=g.txt
@@ -43,10 +45,11 @@
 //
 // Out-of-core mode (DESIGN.md §18): --extmem [--mem-budget=<MB>] on
 // --cmd=pack builds the .gpack through the external sort/merge pipeline
-// (bounded RAM, disk-backed runs), and on --cmd=order runs the ordering
-// semi-externally over a mapped pack (vertex state in RAM, adjacency
-// paged from disk; bit-identical output). --cmd=order --extmem emits the
-// permutation via --map; relabeling stays an in-memory operation.
+// (bounded RAM, disk-backed runs). Ordering a .gpack is out of core
+// already: --cmd=order maps the pack zero-copy, so RAM holds only the
+// O(n) vertex state while the kernel pages adjacency in from disk.
+// With --map and no --out it writes the permutation and skips the
+// in-memory relabel.
 //
 // Every command also accepts --quiet (silence stderr narration),
 // --json-out=<f> (machine-readable run report, written at exit) and
@@ -57,6 +60,7 @@
 #include <cstring>
 
 #include "core/gorder_lib.h"
+#include "util/atomic_file.h"
 #include "util/failpoint.h"
 
 namespace gorder {
@@ -154,7 +158,7 @@ gen::ChunkedOptions ChunkedFromFlags(const Flags& flags) {
 }
 
 /// Shared --extmem knobs: --mem-budget=<MB> bounds the streaming buffers
-/// of the out-of-core pipeline (run buffer, merge reads, write window).
+/// of the out-of-core pipeline (run buffer, merge reads).
 extmem::ExtmemOptions ExtmemFromFlags(const Flags& flags) {
   extmem::ExtmemOptions options;
   options.mem_budget_bytes =
@@ -166,26 +170,28 @@ extmem::ExtmemOptions ExtmemFromFlags(const Flags& flags) {
 void ReportExtBuild(const extmem::ExtBuildStats& s) {
   GORDER_LOG_INFO(
       "extmem build: %llu edges ingested -> %llu final, %llu runs "
-      "(%.1f MB scratch), %llu merge passes, %llu window remaps\n",
+      "(%.1f MB scratch), %llu merge passes\n",
       static_cast<unsigned long long>(s.edges_ingested),
       static_cast<unsigned long long>(s.edges_final),
       static_cast<unsigned long long>(s.runs_written),
       static_cast<double>(s.run_bytes) / (1 << 20),
-      static_cast<unsigned long long>(s.merge_passes),
-      static_cast<unsigned long long>(s.window_remaps));
+      static_cast<unsigned long long>(s.merge_passes));
 }
 
+/// Writes the "old_id new_id" map atomically: a failed write leaves no
+/// map and no staging file behind.
 int WritePermMap(const std::string& map_path, const std::vector<NodeId>& perm) {
-  std::FILE* f = std::fopen(map_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot write %s\n", map_path.c_str());
+  std::string text = "# old_id new_id\n";
+  char line[32];
+  for (NodeId v = 0; v < perm.size(); ++v) {
+    const int len = std::snprintf(line, sizeof line, "%u %u\n", v, perm[v]);
+    text.append(line, static_cast<std::size_t>(len));
+  }
+  IoResult r = util::WriteFileAtomic(map_path, text);
+  if (!r.ok) {
+    std::fprintf(stderr, "error: %s\n", r.error.c_str());
     return 1;
   }
-  std::fprintf(f, "# old_id new_id\n");
-  for (NodeId v = 0; v < perm.size(); ++v) {
-    std::fprintf(f, "%u %u\n", v, perm[v]);
-  }
-  std::fclose(f);
   return 0;
 }
 
@@ -197,45 +203,15 @@ order::OrderingParams OrderingParamsFromFlags(const Flags& flags) {
   return params;
 }
 
-/// Semi-external ordering: vertex state in RAM, adjacency paged from the
-/// mapped pack. Emits the permutation (--map); relabeling would pull the
-/// whole graph into memory, so it is deliberately not offered here.
-int CmdOrderExtmem(const Flags& flags) {
-  const std::string in = flags.GetString("in", "");
-  if (!EndsWith(in, ".gpack")) {
+int CmdOrder(const Flags& flags) {
+  const std::string out = flags.GetString("out", "");
+  const std::string map_path = flags.GetString("map", "");
+  if (out.empty() && map_path.empty()) {
     std::fprintf(stderr,
-                 "error: --cmd=order --extmem needs --in=<f.gpack> "
-                 "(build one with --cmd=pack --extmem)\n");
+                 "error: --cmd=order needs --out=<graph file>, "
+                 "--map=<perm file> or both\n");
     return 2;
   }
-  const order::OrderingParams params = OrderingParamsFromFlags(flags);
-  const auto method =
-      order::MethodFromName(flags.GetString("method", "Gorder"));
-  Timer timer;
-  std::vector<NodeId> perm;
-  extmem::SemiExternalInfo info;
-  IoResult r = extmem::SemiExternalOrder(in, method, params, &perm, &info);
-  if (!r.ok) {
-    std::fprintf(stderr, "error: %s\n", r.error.c_str());
-    return 1;
-  }
-  GORDER_LOG_INFO(
-      "%s (semi-external): %.3fs, %.1f MB pack mapped%s, %d threads\n",
-      order::MethodName(method).c_str(), timer.Seconds(),
-      static_cast<double>(info.pack_bytes) / (1 << 20),
-      info.zero_copy ? " zero-copy" : "", NumThreads());
-  if (flags.Has("out")) {
-    std::fprintf(stderr,
-                 "note: --out ignored with --extmem (relabel is in-memory); "
-                 "the permutation goes to --map\n");
-  }
-  const std::string map_path = flags.GetString("map", "");
-  if (!map_path.empty()) return WritePermMap(map_path, perm);
-  return 0;
-}
-
-int CmdOrder(const Flags& flags) {
-  if (flags.GetBool("extmem", false)) return CmdOrderExtmem(flags);
   Graph g;
   if (LoadGraph(flags.GetString("in", ""), &g) != 0) return 1;
   order::OrderingParams params = OrderingParamsFromFlags(flags);
@@ -277,17 +253,21 @@ int CmdOrder(const Flags& flags) {
     }
     perm = order::ComputeOrdering(g, method, params);
   }
-  double order_s = timer.Seconds();
+  const double order_s = timer.Seconds();
+  if (!map_path.empty() && WritePermMap(map_path, perm) != 0) return 1;
+  if (out.empty()) {
+    GORDER_LOG_INFO("%s: ordering %.3fs (%d threads)\n",
+                    order::MethodName(method).c_str(), order_s, NumThreads());
+    return 0;
+  }
   timer.Reset();
   Graph h = g.Relabel(perm);
-  double relabel_s = timer.Seconds();
+  const double relabel_s = timer.Seconds();
   GORDER_LOG_INFO(
       "%s: ordering %.3fs, relabel %.3fs (total %.3fs, %d threads)\n",
       order::MethodName(method).c_str(), order_s, relabel_s,
       order_s + relabel_s, NumThreads());
-  std::string map_path = flags.GetString("map", "");
-  if (!map_path.empty() && WritePermMap(map_path, perm) != 0) return 1;
-  return StoreGraph(flags.GetString("out", "out.txt"), h);
+  return StoreGraph(out, h);
 }
 
 int CmdStats(const Flags& flags) {
