@@ -7,7 +7,6 @@
 //      unit heap exists.
 
 #include "bench/bench_common.h"
-#include "order/parallel_gorder.h"
 #include "order/unit_heap.h"
 
 namespace gorder {
@@ -161,24 +160,6 @@ int main(int argc, char** argv) {
   Timer t2;
   auto naive = NaiveGorder(small, 5);
   double naive_s = t2.Seconds();
-  // Partition-parallel Gorder: construction cost and quality vs the
-  // sequential greedy (paper discussion: "a parallel version of Gorder
-  // could reduce this problem").
-  std::printf("\nPartition-parallel Gorder on %s:\n", dataset.c_str());
-  TablePrinter par_table({"parts", "order time", "F(pi,5)"});
-  for (int parts : {1, 2, 4, 8}) {
-    Timer tp;
-    auto pperm = order::ParallelGorderOrder(g, {}, parts);
-    double psec = tp.Seconds();
-    par_table.AddRow({std::to_string(parts), TablePrinter::Num(psec, 3),
-                      TablePrinter::Count(static_cast<double>(
-                          GorderScoreUnderPermutation(g, pperm, 5)))});
-  }
-  par_table.Print();
-  std::printf(
-      "(single-core machine: partition overhead is visible but the work\n"
-      "is embarrassingly parallel across parts on real multicore hosts;\n"
-      "quality falls with parts as cross-part edges become invisible)\n");
 
   std::printf(
       "\nUnit-heap greedy vs naive argmax greedy on n=%u, m=%llu:\n"

@@ -152,14 +152,21 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(flags.GetInt("mem-budget", 256)) << 20;
   const std::string label = flags.GetString("label", "dev");
   const std::string bench_json = flags.GetString("bench-json", "");
-  std::vector<std::string> method_names;
+  std::vector<order::Method> methods;
   {
     std::string names = flags.GetString("methods", "Gorder,BOBA");
     std::size_t pos = 0;
     while (pos != std::string::npos) {
       std::size_t comma = names.find(',', pos);
-      method_names.push_back(names.substr(
-          pos, comma == std::string::npos ? comma : comma - pos));
+      const std::string name = names.substr(
+          pos, comma == std::string::npos ? comma : comma - pos);
+      const std::optional<order::Method> method = order::MethodFromName(name);
+      if (!method) {
+        std::fprintf(stderr, "perf_ordering: unknown method '%s'\n",
+                     name.c_str());
+        return 2;
+      }
+      methods.push_back(*method);
       pos = comma == std::string::npos ? comma : comma + 1;
     }
   }
@@ -218,8 +225,8 @@ int main(int argc, char** argv) {
                     "-", "-", "n/a"});
       results.push_back(std::move(b));
     }
-    for (const auto& mname : method_names) {
-      order::Method method = order::MethodFromName(mname);
+    for (order::Method method : methods) {
+      const std::string& mname = order::MethodName(method);
       order::OrderingParams params;
       params.seed = opt.seed;
       params.window = window;

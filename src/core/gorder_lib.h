@@ -34,8 +34,6 @@
 #include "algo/traced.h"
 #include "cachesim/cache.h"
 #include "cachesim/hw_counters.h"
-#include "compress/compressed_graph.h"
-#include "compress/varint.h"
 #include "extmem/edge_stream.h"
 #include "extmem/ext_csr.h"
 #include "gen/crawl_order.h"
@@ -62,7 +60,6 @@
 #include "order/incremental_gorder.h"
 #include "order/metis_like.h"
 #include "order/ordering.h"
-#include "order/parallel_gorder.h"
 #include "order/unit_heap.h"
 #include "serve/admin.h"
 #include "serve/client.h"

@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "util/logging.h"
+#include "util/rng.h"
 
 namespace gorder::order {
 
@@ -288,14 +289,6 @@ std::uint64_t EdgeCut(const Graph& graph, const std::vector<int>& side) {
     }
   }
   return cut;
-}
-
-std::vector<int> BisectNodes(const Graph& graph,
-                             const std::vector<NodeId>& nodes,
-                             const MetisLikeParams& params, Rng& rng,
-                             std::vector<NodeId>& global_to_local) {
-  WGraph wg = InducedUndirected(graph, nodes, global_to_local);
-  return MultilevelBisect(wg, params, rng);
 }
 
 std::vector<NodeId> MetisLikeOrder(const Graph& graph,

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "util/rng.h"
 
 namespace gorder::order {
 
@@ -38,19 +37,6 @@ struct MetisLikeParams {
 
 std::vector<NodeId> MetisLikeOrder(const Graph& graph,
                                    const MetisLikeParams& params = {});
-
-/// One multilevel bisection of the subgraph induced by `nodes`:
-/// side[i] gives the side (0 or 1) of nodes[i]. `global_to_local` is
-/// caller-owned scratch with NumNodes() entries, all kInvalidNode on
-/// entry and restored on return, so callers running many bisections
-/// (the partition-parallel Gorder front-end) avoid an O(n) allocation
-/// per call. Deterministic in (graph, nodes, params, rng state); a
-/// degenerate all-one-side result is possible on pathological inputs
-/// and is the caller's to handle.
-std::vector<int> BisectNodes(const Graph& graph,
-                             const std::vector<NodeId>& nodes,
-                             const MetisLikeParams& params, Rng& rng,
-                             std::vector<NodeId>& global_to_local);
 
 /// Edge-cut of a 2-way partition over the undirected multiset view
 /// (exposed for tests and the partitioner's own refinement).

@@ -58,12 +58,11 @@ const std::string& MethodName(Method method) {
   return (*kNames)[static_cast<int>(method)];
 }
 
-Method MethodFromName(const std::string& name) {
+std::optional<Method> MethodFromName(const std::string& name) {
   for (const auto& info : kMethods) {
     if (name == info.name) return info.method;
   }
-  GORDER_CHECK(false && "unknown ordering method name");
-  __builtin_unreachable();
+  return std::nullopt;
 }
 
 const std::vector<Method>& AllMethods() {

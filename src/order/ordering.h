@@ -1,6 +1,7 @@
 #ifndef GORDER_ORDER_ORDERING_H_
 #define GORDER_ORDER_ORDERING_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,7 +81,9 @@ std::vector<NodeId> ComputeOrdering(const Graph& graph, Method method,
 /// extension names "Metis", "OutDegSort", "HubSort", "HubCluster",
 /// "DBG", "BOBA").
 const std::string& MethodName(Method method);
-Method MethodFromName(const std::string& name);  // aborts on unknown
+/// nullopt on an unknown name, so front ends can reject user input
+/// instead of aborting.
+std::optional<Method> MethodFromName(const std::string& name);
 
 /// The replication's ten methods, in its presentation order (what the
 /// paper-reproduction benches sweep).

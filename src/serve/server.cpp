@@ -8,6 +8,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -76,18 +77,6 @@ obs::WindowedHistogram& WindowedForOpcode(Opcode op) {
   return w_ping;  // unreachable: decode rejects unknown opcodes
 }
 #endif  // GORDER_OBS_DISABLED
-
-/// Non-aborting ordering-method lookup (order::MethodFromName aborts,
-/// which a server must never do on client input).
-bool FindMethod(const std::string& name, order::Method* out) {
-  for (order::Method m : order::AllMethodsExtended()) {
-    if (order::MethodName(m) == name) {
-      *out = m;
-      return true;
-    }
-  }
-  return false;
-}
 
 }  // namespace
 
@@ -266,8 +255,9 @@ struct Server::Impl {
         if (req.num_nodes > options.max_order_nodes) {
           return bad_request("num_nodes exceeds max_order_nodes");
         }
-        order::Method method;
-        if (!FindMethod(req.method, &method)) {
+        const std::optional<order::Method> method =
+            order::MethodFromName(req.method);
+        if (!method) {
           return bad_request("unknown ordering method '" + req.method + "'");
         }
         for (const Edge& e : req.edges) {
@@ -279,7 +269,7 @@ struct Server::Impl {
         order::OrderingParams params;
         params.seed = req.seed;
         std::vector<NodeId> perm =
-            order::ComputeOrdering(uploaded, method, params);
+            order::ComputeOrdering(uploaded, *method, params);
         PutU32(&body, static_cast<std::uint32_t>(perm.size()));
         body.append(reinterpret_cast<const char*>(perm.data()),
                     perm.size() * sizeof(NodeId));
@@ -341,23 +331,22 @@ struct Server::Impl {
     std::uint64_t reply_epoch = snap->epoch;
     std::string body =
         ExecuteQuery(item.req, *snap, &status, &message, &reply_epoch);
-    std::uint64_t bytes_out = 4 + kResponsePrefixBytes;
-    if (status == Status::kOk) {
-      bytes_out += body.size();
-      SendResponse(item.conn, {item.req.id, status, reply_epoch}, body);
-    } else {
+    if (status != Status::kOk) {
       GORDER_OBS_INC(c_errors);
-      std::string err = ErrorBody(message);
-      bytes_out += err.size();
-      SendResponse(item.conn, {item.req.id, status, reply_epoch}, err);
+      body = ErrorBody(message);
     }
+    // Everything this request records (latency histograms, trace ring)
+    // is in place before its reply leaves, so a client holding the
+    // reply always finds the request in /metrics and /tracez.
     const auto exec_us = static_cast<std::uint64_t>(timer.Seconds() * 1e6);
     GORDER_OBS_OBSERVE(h_request_us, exec_us);
     GORDER_OBS_WRECORD(WindowedForOpcode(item.req.opcode), exec_us);
-    FinishTrace(item, status, reply_epoch, picked_s, exec_us, bytes_out);
+    FinishTrace(item, status, reply_epoch, picked_s, exec_us,
+                4 + kResponsePrefixBytes + body.size());
+    SendResponse(item.conn, {item.req.id, status, reply_epoch}, body);
   }
 
-  /// Trace sampling + slow-request accounting, after the reply is sent.
+  /// Trace sampling + slow-request accounting, before the reply is sent.
   void FinishTrace(const QueueItem& item, Status status,
                    std::uint64_t reply_epoch, double picked_s,
                    std::uint64_t exec_us, std::uint64_t bytes_out) {

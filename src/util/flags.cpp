@@ -52,41 +52,56 @@ Flags::Flags(int argc, char** argv) {
   }
 }
 
-bool Flags::Has(const std::string& key) const {
-  return values_.count(key) != 0;
+const std::string* Flags::Find(const std::string& key) const {
+  auto it = values_.find(key);
+  if (it == values_.end()) return nullptr;
+  read_.insert(key);
+  return &it->second;
 }
+
+void Flags::RejectUnread() const {
+  bool any = false;
+  for (const auto& [key, value] : values_) {
+    if (read_.count(key) != 0) continue;
+    std::fprintf(stderr, "error: unknown or unused flag --%s\n", key.c_str());
+    any = true;
+  }
+  if (any) std::exit(2);
+}
+
+bool Flags::Has(const std::string& key) const { return Find(key) != nullptr; }
 
 std::string Flags::GetString(const std::string& key,
                              const std::string& def) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? def : it->second;
+  const std::string* value = Find(key);
+  return value == nullptr ? def : *value;
 }
 
 std::int64_t Flags::GetInt(const std::string& key, std::int64_t def) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return def;
-  return ParseIntStrict(key, it->second);
+  const std::string* value = Find(key);
+  if (value == nullptr) return def;
+  return ParseIntStrict(key, *value);
 }
 
 double Flags::GetDouble(const std::string& key, double def) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return def;
-  const char* s = it->second.c_str();
+  const std::string* value = Find(key);
+  if (value == nullptr) return def;
+  const char* s = value->c_str();
   char* end = nullptr;
   errno = 0;
   double v = std::strtod(s, &end);
   if (end == s || *end != '\0' || errno == ERANGE) {
-    BadValue(key, it->second, "number");
+    BadValue(key, *value, "number");
   }
   return v;
 }
 
 std::vector<int> Flags::GetIntList(const std::string& key,
                                    const std::vector<int>& def) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return def;
+  const std::string* found = Find(key);
+  if (found == nullptr) return def;
   std::vector<int> result;
-  const std::string& value = it->second;
+  const std::string& value = *found;
   std::size_t pos = 0;
   while (true) {
     std::size_t comma = value.find(',', pos);
@@ -100,9 +115,9 @@ std::vector<int> Flags::GetIntList(const std::string& key,
 }
 
 bool Flags::GetBool(const std::string& key, bool def) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return def;
-  return it->second != "false" && it->second != "0";
+  const std::string* value = Find(key);
+  if (value == nullptr) return def;
+  return *value != "false" && *value != "0";
 }
 
 }  // namespace gorder

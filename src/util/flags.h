@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -15,11 +16,14 @@ namespace gorder {
 /// same way instead of silently truncating ("4x" -> 4).
 bool ParseInt64(const std::string& text, std::int64_t* out);
 
-/// Tiny `--key=value` / `--flag` command-line parser for the benchmark and
-/// example binaries. Unknown positional arguments are rejected so typos in
-/// experiment scripts fail loudly instead of silently running defaults —
+/// Tiny `--key=value` / `--flag` command-line parser for the tools,
+/// benchmark and example binaries. Positional arguments are rejected,
 /// and so are malformed numeric values: `--threads=4x` exits with a clear
-/// error instead of being truncated to 4.
+/// error instead of being truncated to 4. Every key that `Has` or a
+/// `Get*` looks up counts as read; a front end that calls
+/// `RejectUnread()` once its flags are read makes typos (`--mthod=`)
+/// fail loudly instead of silently running defaults. Not thread-safe:
+/// read flags from one thread.
 class Flags {
  public:
   /// Parses argv. Aborts with a usage message on malformed input.
@@ -42,8 +46,16 @@ class Flags {
   /// Run reports embed this so a result file is self-describing.
   const std::map<std::string, std::string>& Raw() const { return values_; }
 
+  /// Names every passed `--key` that no `Has`/`Get*` call has read yet on
+  /// stderr and exits 2; returns if there is none.
+  void RejectUnread() const;
+
  private:
+  /// Finds `key` and records it as read.
+  const std::string* Find(const std::string& key) const;
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace gorder

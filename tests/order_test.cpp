@@ -83,6 +83,12 @@ TEST(RegistryTest, NamesRoundTrip) {
   EXPECT_EQ(MethodName(Method::kInDegSort), "InDegSort");
 }
 
+TEST(RegistryTest, UnknownNameIsNullopt) {
+  EXPECT_EQ(MethodFromName("Bogus"), std::nullopt);
+  EXPECT_EQ(MethodFromName(""), std::nullopt);
+  EXPECT_EQ(MethodFromName("gorder"), std::nullopt);  // names are exact
+}
+
 // ---- Individual method properties ----
 
 TEST(OriginalTest, IsIdentity) {

@@ -520,6 +520,23 @@ TEST_F(ServeTest, AdminEndpointsServeMetricsHealthAndTraces) {
   EXPECT_TRUE(client.Ping().ok());
 }
 
+// The trace record of a request is pushed before its reply is sent, so
+// a client that holds reply i already sees i+1 records in the ring.
+TEST_F(ServeTest, TraceRecordIsPushedBeforeTheReply) {
+  if (!obs::Enabled()) GTEST_SKIP() << "tracing is off (GORDER_OBS=off)";
+  ServerOptions opts;
+  opts.trace_sample = 1;  // sample every request
+  StartServer(opts);
+  Client client = Connected();
+  const std::uint64_t base = obs::GlobalReqTraceRing().TotalPushed();
+  // The race this guards is narrow, so ask many times.
+  for (std::uint64_t i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(client.Ping().ok());
+    ASSERT_GE(obs::GlobalReqTraceRing().TotalPushed() - base, i + 1)
+        << "reply " << i << " arrived before its trace record";
+  }
+}
+
 TEST_F(ServeTest, AdminListenerStopsWithServer) {
   ServerOptions opts;
   opts.admin_enabled = true;

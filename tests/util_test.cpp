@@ -174,6 +174,53 @@ TEST(FlagsDeathTest, RejectsEmptyIntListElement) {
               "not a valid integer");
 }
 
+// A typo'd flag (`--mthod=Random`) used to be ignored silently and the
+// run went on with the default. RejectUnread names every flag no getter
+// looked up and exits 2.
+TEST(FlagsDeathTest, RejectUnreadNamesEveryUnreadKey) {
+  const char* argv[] = {"prog", "--method=Gorder", "--mthod=Random",
+                        "--outt=x"};
+  Flags flags(4, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetString("method", ""), "Gorder");
+  EXPECT_EXIT(flags.RejectUnread(), testing::ExitedWithCode(2),
+              "unknown or unused flag --mthod");
+  EXPECT_EXIT(flags.RejectUnread(), testing::ExitedWithCode(2),
+              "unknown or unused flag --outt");
+}
+
+TEST(FlagsDeathTest, RejectUnreadPassesWhenEveryKeyWasRead) {
+  const char* argv[] = {"prog", "--threads=2", "--scale=0.5", "--csv",
+                        "--list=1,2", "--name=x"};
+  Flags flags(6, const_cast<char**>(argv));
+  EXPECT_EQ(flags.GetInt("threads", 1), 2);
+  EXPECT_EQ(flags.GetDouble("scale", 1.0), 0.5);
+  EXPECT_TRUE(flags.GetBool("csv", false));
+  EXPECT_EQ(flags.GetIntList("list", {}), (std::vector<int>{1, 2}));
+  EXPECT_EQ(flags.GetString("name", ""), "x");
+  EXPECT_EQ(flags.GetInt("absent", 7), 7);  // unpassed keys do not matter
+  EXPECT_EXIT(
+      {
+        flags.RejectUnread();
+        std::exit(0);
+      },
+      testing::ExitedWithCode(0), "");
+}
+
+TEST(FlagsDeathTest, HasCountsAsARead) {
+  const char* argv[] = {"prog", "--source=3", "--stray"};
+  Flags flags(3, const_cast<char**>(argv));
+  EXPECT_TRUE(flags.Has("source"));
+  EXPECT_EXIT(flags.RejectUnread(), testing::ExitedWithCode(2),
+              "unknown or unused flag --stray");
+  EXPECT_TRUE(flags.Has("stray"));
+  EXPECT_EXIT(
+      {
+        flags.RejectUnread();
+        std::exit(0);
+      },
+      testing::ExitedWithCode(0), "");
+}
+
 TEST(ParseInt64Test, AcceptsWholeNumbersOnly) {
   std::int64_t v = 0;
   EXPECT_TRUE(ParseInt64("42", &v));

@@ -53,11 +53,13 @@
 //
 // Every command also accepts --quiet (silence stderr narration),
 // --json-out=<f> (machine-readable run report, written at exit) and
-// --trace-out=<f> (Chrome trace for Perfetto).
+// --trace-out=<f> (Chrome trace for Perfetto). A flag the command does
+// not read, or an unknown --method, exits 2 before any input is read.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 #include "core/gorder_lib.h"
 #include "util/atomic_file.h"
@@ -206,17 +208,31 @@ order::OrderingParams OrderingParamsFromFlags(const Flags& flags) {
 int CmdOrder(const Flags& flags) {
   const std::string out = flags.GetString("out", "");
   const std::string map_path = flags.GetString("map", "");
+  const std::string in = flags.GetString("in", "");
+  const std::string method_name = flags.GetString("method", "Gorder");
+  const order::OrderingParams params = OrderingParamsFromFlags(flags);
+  const bool verbose = flags.GetBool("verbose", false);
+  flags.RejectUnread();
   if (out.empty() && map_path.empty()) {
     std::fprintf(stderr,
                  "error: --cmd=order needs --out=<graph file>, "
                  "--map=<perm file> or both\n");
     return 2;
   }
+  const std::optional<order::Method> resolved =
+      order::MethodFromName(method_name);
+  if (!resolved) {
+    std::string names;
+    for (order::Method m : order::AllMethodsExtended()) {
+      names += " " + order::MethodName(m);
+    }
+    std::fprintf(stderr, "error: unknown --method=%s\nvalid names:%s\n",
+                 method_name.c_str(), names.c_str());
+    return 2;
+  }
+  const order::Method method = *resolved;
   Graph g;
-  if (LoadGraph(flags.GetString("in", ""), &g) != 0) return 1;
-  order::OrderingParams params = OrderingParamsFromFlags(flags);
-  auto method = order::MethodFromName(flags.GetString("method", "Gorder"));
-  const bool verbose = flags.GetBool("verbose", false);
+  if (LoadGraph(in, &g) != 0) return 1;
   // Ordering and relabel wall times are reported separately: the total is
   // the pipeline cost that must be amortised by downstream speedups
   // (Faldu et al., IISWC 2020).
@@ -271,8 +287,10 @@ int CmdOrder(const Flags& flags) {
 }
 
 int CmdStats(const Flags& flags) {
+  const std::string in = flags.GetString("in", "");
+  flags.RejectUnread();
   Graph g;
-  if (LoadGraph(flags.GetString("in", ""), &g) != 0) return 1;
+  if (LoadGraph(in, &g) != 0) return 1;
   GraphStats s = ComputeStats(g);
   std::printf("nodes:          %u\n", s.num_nodes);
   std::printf("edges:          %llu\n",
@@ -284,8 +302,6 @@ int CmdStats(const Flags& flags) {
   std::printf("bandwidth:      %u\n", Bandwidth(g));
   std::printf("minla energy:   %.4g\n", LinearArrangementCost(g));
   std::printf("minloga energy: %.4g\n", LogArrangementCost(g));
-  auto cg = compress::CompressedGraph::FromGraph(g);
-  std::printf("gap bits/edge:  %.2f\n", cg.BitsPerEdge());
   LocalityProfile p = ComputeLocalityProfile(g);
   std::printf("avg gap:        %.1f\n", p.avg_gap);
   std::printf("avg log2 gap:   %.2f\n", p.avg_log2_gap);
@@ -296,9 +312,11 @@ int CmdStats(const Flags& flags) {
 }
 
 int CmdScore(const Flags& flags) {
+  const std::string in = flags.GetString("in", "");
+  const auto w = static_cast<NodeId>(flags.GetInt("window", 5));
+  flags.RejectUnread();
   Graph g;
-  if (LoadGraph(flags.GetString("in", ""), &g) != 0) return 1;
-  auto w = static_cast<NodeId>(flags.GetInt("window", 5));
+  if (LoadGraph(in, &g) != 0) return 1;
   std::printf("F(identity, w=%u) = %llu\n", w,
               static_cast<unsigned long long>(GorderScore(g, w)));
   return 0;
@@ -320,6 +338,8 @@ int StreamHugePack(const Flags& flags, const std::string& name,
   const double scale = flags.GetDouble("scale", 1.0);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   const gen::ChunkedOptions chunked = ChunkedFromFlags(flags);
+  const extmem::ExtmemOptions ext = ExtmemFromFlags(flags);
+  flags.RejectUnread();
   Timer timer;
   extmem::ExtBuildStats stats;
   NodeId num_nodes = 0;
@@ -328,7 +348,7 @@ int StreamHugePack(const Flags& flags, const std::string& name,
         return gen::StreamDataset(name, scale, seed, chunked, sink,
                                   &num_nodes);
       },
-      /*reserve_nodes=*/0, out, ExtmemFromFlags(flags), &stats);
+      /*reserve_nodes=*/0, out, ext, &stats);
   if (!r.ok) {
     std::fprintf(stderr, "error: %s\n", r.error.c_str());
     return 1;
@@ -352,10 +372,12 @@ int CmdGen(const Flags& flags) {
   }
   double scale = flags.GetDouble("scale", 0.25);
   auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
+  const std::string out = flags.GetString("out", name + ".txt");
+  flags.RejectUnread();
   Graph g = gen::MakeDataset(name, scale, seed);
   GORDER_LOG_INFO("generated %s: n=%u m=%llu\n", name.c_str(),
                   g.NumNodes(), static_cast<unsigned long long>(g.NumEdges()));
-  return StoreGraph(flags.GetString("out", name + ".txt"), g);
+  return StoreGraph(out, g);
 }
 
 /// Packs a synthetic R-MAT stream. The same chunked generator feeds both
@@ -377,6 +399,10 @@ int PackRmatStream(const Flags& flags, const std::string& out) {
   rp.num_edges = static_cast<EdgeId>(flags.GetInt("rmat-edge-factor", 16))
                  << rp.scale;
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
+  const bool use_extmem = flags.GetBool("extmem", false);
+  const extmem::ExtmemOptions ext =
+      use_extmem ? ExtmemFromFlags(flags) : extmem::ExtmemOptions{};
+  flags.RejectUnread();
   const auto n = static_cast<NodeId>(1u << rp.scale);
   // Default chunk size in both modes: determinism depends on it, so it
   // never follows the memory budget.
@@ -384,10 +410,9 @@ int PackRmatStream(const Flags& flags, const std::string& out) {
     return gen::StreamRmat(rp, seed, gen::ChunkedOptions{}, sink);
   };
   IoResult r;
-  if (flags.GetBool("extmem", false)) {
+  if (use_extmem) {
     extmem::ExtBuildStats stats;
-    r = extmem::BuildPackFromEdgeStream(stream, n, out, ExtmemFromFlags(flags),
-                                        &stats);
+    r = extmem::BuildPackFromEdgeStream(stream, n, out, ext, &stats);
     if (r.ok) ReportExtBuild(stats);
   } else {
     r = store::WritePack(
@@ -420,9 +445,10 @@ int CmdPack(const Flags& flags) {
                    "--in=<g.txt> --out=<f.gpack> (or --rmat-scale=<N>)\n");
       return 2;
     }
+    const extmem::ExtmemOptions ext = ExtmemFromFlags(flags);
+    flags.RejectUnread();
     extmem::ExtBuildStats stats;
-    IoResult r =
-        extmem::StreamEdgeListToPack(in, out, ExtmemFromFlags(flags), &stats);
+    IoResult r = extmem::StreamEdgeListToPack(in, out, ext, &stats);
     if (!r.ok) {
       std::fprintf(stderr, "error: %s\n", r.error.c_str());
       return 1;
@@ -450,12 +476,14 @@ int CmdPack(const Flags& flags) {
       }
       out = store::Store(store_dir).PackPath(dataset, scale, seed);
     }
+    flags.RejectUnread();
     g = gen::MakeDataset(dataset, scale, seed);
   } else if (!in.empty()) {
     if (out.empty()) {
       std::fprintf(stderr, "error: --cmd=pack --in needs --out=<f.gpack>\n");
       return 2;
     }
+    flags.RejectUnread();
     if (LoadGraph(in, &g) != 0) return 1;
   } else {
     std::fprintf(stderr,
@@ -475,6 +503,8 @@ int CmdPack(const Flags& flags) {
 
 int CmdInfo(const Flags& flags) {
   std::string path = flags.GetString("in", "");
+  const extmem::ExtmemOptions ext = ExtmemFromFlags(flags);
+  flags.RejectUnread();
   store::GpackInfo info;
   IoResult r = store::ReadPackInfo(path, &info);
   if (!r.ok) {
@@ -501,11 +531,11 @@ int CmdInfo(const Flags& flags) {
   }
   // Peak-RSS estimates (dominant terms) so users can judge whether this
   // graph needs --extmem on their machine.
-  const extmem::MemoryEstimates est = extmem::EstimateMemory(
-      info.num_nodes, info.num_edges, ExtmemFromFlags(flags));
+  const extmem::MemoryEstimates est =
+      extmem::EstimateMemory(info.num_nodes, info.num_edges, ext);
   auto mb = [](std::uint64_t b) { return static_cast<double>(b) / (1 << 20); };
-  std::printf("memory estimates (peak RSS, --mem-budget=%lld MB):\n",
-              static_cast<long long>(flags.GetInt("mem-budget", 256)));
+  std::printf("memory estimates (peak RSS, --mem-budget=%llu MB):\n",
+              static_cast<unsigned long long>(ext.mem_budget_bytes >> 20));
   std::printf("  mmap load (address space):   %10.1f MB\n",
               mb(est.pack_file_bytes));
   std::printf("  in-memory load (copy):       %10.1f MB\n",
@@ -521,6 +551,7 @@ int CmdInfo(const Flags& flags) {
 
 int CmdVerify(const Flags& flags) {
   std::string path = flags.GetString("in", "");
+  flags.RejectUnread();
   IoResult r = store::VerifyPack(path);
   if (!r.ok) {
     std::fprintf(stderr, "verify FAILED: %s\n", r.error.c_str());
@@ -531,9 +562,12 @@ int CmdVerify(const Flags& flags) {
 }
 
 int CmdConvert(const Flags& flags) {
+  const std::string in = flags.GetString("in", "");
+  const std::string out = flags.GetString("out", "out.bin");
+  flags.RejectUnread();
   Graph g;
-  if (LoadGraph(flags.GetString("in", ""), &g) != 0) return 1;
-  return StoreGraph(flags.GetString("out", "out.bin"), g);
+  if (LoadGraph(in, &g) != 0) return 1;
+  return StoreGraph(out, g);
 }
 
 /// Runs one benchmark kernel on the loaded graph — the CLI surface for
@@ -541,18 +575,20 @@ int CmdConvert(const Flags& flags) {
 /// at different --threads can be diffed for the bit-identity contract)
 /// and the median wall time.
 int CmdAlgo(const Flags& flags) {
+  const std::string in = flags.GetString("in", "");
+  const std::string name = flags.GetString("algo", "pr");
+  const int repeats = static_cast<int>(flags.GetInt("repeats", 3));
+  const int iters = static_cast<int>(flags.GetInt("iters", 20));
+  const bool has_source = flags.Has("source");
+  NodeId src = static_cast<NodeId>(flags.GetInt("source", 0));
+  flags.RejectUnread();
   Graph g;
-  if (LoadGraph(flags.GetString("in", ""), &g) != 0) return 1;
+  if (LoadGraph(in, &g) != 0) return 1;
   if (g.NumNodes() == 0) {
     std::fprintf(stderr, "error: graph is empty\n");
     return 1;
   }
-  const std::string name = flags.GetString("algo", "pr");
-  const int repeats = static_cast<int>(flags.GetInt("repeats", 3));
-  const int iters = static_cast<int>(flags.GetInt("iters", 20));
-  NodeId src = 0;
-  if (flags.Has("source")) {
-    src = static_cast<NodeId>(flags.GetInt("source", 0));
+  if (has_source) {
     if (src >= g.NumNodes()) {
       std::fprintf(stderr, "error: --source=%u out of range (n=%u)\n", src,
                    g.NumNodes());

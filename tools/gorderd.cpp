@@ -102,6 +102,19 @@ int Run(int argc, char** argv) {
 
   serve::ServerOptions opts;
   const std::string listen = flags.GetString("listen", "");
+  opts.serve_threads = static_cast<int>(flags.GetInt("serve-threads", 2));
+  opts.queue_capacity = static_cast<int>(flags.GetInt("queue-capacity", 128));
+  opts.max_connections = static_cast<int>(flags.GetInt("max-connections", 64));
+  opts.allow_swap = !flags.GetBool("no-swap", false);
+  opts.allow_shutdown = !flags.GetBool("no-shutdown", false);
+  const std::string admin_addr = flags.GetString("admin-addr", "");
+  const std::int64_t trace_sample = flags.GetInt("trace-sample", 64);
+  const std::int64_t slow_ms = flags.GetInt("slow-request-ms", 0);
+  const std::string pack = flags.GetString("pack", "");
+  const std::string in = pack.empty() ? flags.GetString("in", "") : pack;
+  const double max_seconds = flags.GetDouble("max-seconds", 0.0);
+  flags.RejectUnread();
+
   std::string parse_error;
   if (listen.empty() ||
       !util::ParseNetAddress(listen, &opts.listen, &parse_error)) {
@@ -111,11 +124,6 @@ int Run(int argc, char** argv) {
                  parse_error.c_str());
     return 2;
   }
-  opts.serve_threads = static_cast<int>(flags.GetInt("serve-threads", 2));
-  opts.queue_capacity = static_cast<int>(flags.GetInt("queue-capacity", 128));
-  opts.max_connections = static_cast<int>(flags.GetInt("max-connections", 64));
-  opts.allow_swap = !flags.GetBool("no-swap", false);
-  opts.allow_shutdown = !flags.GetBool("no-shutdown", false);
   if (opts.serve_threads < 1 || opts.queue_capacity < 1 ||
       opts.max_connections < 1) {
     std::fprintf(stderr,
@@ -123,7 +131,6 @@ int Run(int argc, char** argv) {
                  "--max-connections must be positive\n");
     return 2;
   }
-  const std::string admin_addr = flags.GetString("admin-addr", "");
   if (!admin_addr.empty()) {
     if (!util::ParseNetAddress(admin_addr, &opts.admin_listen,
                                &parse_error)) {
@@ -132,8 +139,6 @@ int Run(int argc, char** argv) {
     }
     opts.admin_enabled = true;
   }
-  const std::int64_t trace_sample = flags.GetInt("trace-sample", 64);
-  const std::int64_t slow_ms = flags.GetInt("slow-request-ms", 0);
   if (trace_sample < 0 || trace_sample > 0xFFFFFFFFll || slow_ms < 0) {
     std::fprintf(stderr,
                  "error: --trace-sample must be in [0, 2^32) and "
@@ -143,8 +148,6 @@ int Run(int argc, char** argv) {
   opts.trace_sample = static_cast<std::uint32_t>(trace_sample);
   opts.slow_request_ms = static_cast<int>(slow_ms);
 
-  const std::string pack = flags.GetString("pack", "");
-  const std::string in = pack.empty() ? flags.GetString("in", "") : pack;
   if (in.empty()) {
     std::fprintf(stderr, "error: gorderd needs --pack=<f.gpack> or --in\n");
     return 2;
@@ -182,7 +185,6 @@ int Run(int argc, char** argv) {
   InstallSignalHandlers();
   // Poll in short slices so a SIGINT/SIGTERM is noticed promptly even
   // though WaitForShutdown only wakes for client kShutdown requests.
-  const double max_seconds = flags.GetDouble("max-seconds", 0.0);
   Timer uptime;
   while (true) {
     if (server.WaitForShutdown(0.25)) break;

@@ -146,6 +146,10 @@ void Render(const Sample& now, const Sample& prev) {
 int Run(int argc, char** argv) {
   Flags flags(argc, argv);
   const std::string connect = flags.GetString("connect", "");
+  const double interval_s = flags.GetDouble("interval", 1.0);
+  std::int64_t count = flags.GetInt("count", 0);  // 0 = forever
+  if (flags.GetBool("once", false)) count = 1;
+  flags.RejectUnread();
   util::NetAddress addr;
   std::string parse_error;
   if (connect.empty() ||
@@ -156,9 +160,6 @@ int Run(int argc, char** argv) {
                  parse_error.c_str());
     return 2;
   }
-  const double interval_s = flags.GetDouble("interval", 1.0);
-  std::int64_t count = flags.GetInt("count", 0);  // 0 = forever
-  if (flags.GetBool("once", false)) count = 1;
   if (interval_s <= 0 || count < 0) {
     std::fprintf(stderr,
                  "error: --interval must be positive, --count "
