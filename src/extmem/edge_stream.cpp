@@ -23,8 +23,36 @@ GORDER_OBS_COUNTER(c_runs_written, "extmem.runs_written");
 GORDER_OBS_COUNTER(c_run_bytes, "extmem.run_bytes");
 GORDER_OBS_COUNTER(c_merge_passes, "extmem.merge_passes");
 
-inline bool EdgeLess(const Edge& a, const Edge& b) {
-  return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+// Radix digits: three per 32-bit id (11 + 11 + 10 bits), dst's before
+// src's, so the last (most significant) pass is on src's top digit.
+constexpr int kDigitBits = 11;
+constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+constexpr int kDigitsPerId = 3;
+constexpr int kDigits = 2 * kDigitsPerId;
+
+inline std::size_t DigitOf(NodeId id, int shift) {
+  return (id >> shift) & (kBuckets - 1);
+}
+
+/// One stable counting-sort scatter of `from` into `to` on the digit of
+/// `Field` at `shift`; `offsets` holds the digit's bucket counts and is
+/// consumed.
+template <NodeId Edge::*Field>
+void ScatterByDigit(const std::vector<Edge>& from, std::vector<Edge>* to,
+                    int shift, std::size_t* offsets) {
+  std::size_t sum = 0;
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    const std::size_t c = offsets[b];
+    offsets[b] = sum;
+    sum += c;
+  }
+  Edge* out = to->data();
+  for (const Edge& e : from) out[offsets[DigitOf(e.*Field, shift)]++] = e;
+}
+
+/// Packs an edge into the merge key: (src, dst) order is integer order.
+inline std::uint64_t EdgeKey(const Edge& e) {
+  return std::uint64_t{e.src} << 32 | e.dst;
 }
 
 /// Streams `count` edges to `f` in large fwrite chunks.
@@ -43,6 +71,34 @@ bool WriteEdgesBuffered(std::FILE* f, const Edge* edges, std::size_t count) {
 }
 
 }  // namespace
+
+void RadixSortEdges(std::vector<Edge>* edges, std::vector<Edge>* scratch) {
+  const std::size_t n = edges->size();
+  if (n < 2) return;
+  // One read builds every digit's histogram; a digit on which all keys
+  // agree puts all n keys in one bucket and needs no pass.
+  std::vector<std::size_t> hist(kDigits * kBuckets, 0);
+  for (const Edge& e : *edges) {
+    for (int d = 0; d < kDigitsPerId; ++d) {
+      ++hist[d * kBuckets + DigitOf(e.dst, d * kDigitBits)];
+      ++hist[(kDigitsPerId + d) * kBuckets + DigitOf(e.src, d * kDigitBits)];
+    }
+  }
+  const Edge first = edges->front();
+  scratch->resize(n);
+  for (int d = 0; d < kDigits; ++d) {
+    const bool on_src = d >= kDigitsPerId;
+    const int shift = (d % kDigitsPerId) * kDigitBits;
+    std::size_t* counts = &hist[d * kBuckets];
+    if (counts[DigitOf(on_src ? first.src : first.dst, shift)] == n) continue;
+    if (on_src) {
+      ScatterByDigit<&Edge::src>(*edges, scratch, shift, counts);
+    } else {
+      ScatterByDigit<&Edge::dst>(*edges, scratch, shift, counts);
+    }
+    edges->swap(*scratch);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // RunSet
@@ -166,6 +222,7 @@ MergeStream::~MergeStream() { Close(); }
 
 void MergeStream::Close() {
   sources_.clear();
+  keys_.clear();
   heap_.clear();
   have_last_ = false;
 }
@@ -187,24 +244,23 @@ IoResult MergeStream::Refill(Source& src) {
 }
 
 bool MergeStream::SourceLess(std::uint32_t a, std::uint32_t b) const {
-  const Edge& ea = sources_[a]->buffer[sources_[a]->pos];
-  const Edge& eb = sources_[b]->buffer[sources_[b]->pos];
-  if (ea.src != eb.src) return ea.src < eb.src;
-  if (ea.dst != eb.dst) return ea.dst < eb.dst;
+  if (keys_[a] != keys_[b]) return keys_[a] < keys_[b];
   return a < b;  // deterministic tie-break across runs
 }
 
 void MergeStream::HeapSiftDown(std::size_t i) {
+  // Moves the hole down instead of swapping at every level.
   const std::size_t n = heap_.size();
+  const std::uint32_t item = heap_[i];
   while (true) {
-    std::size_t smallest = i;
-    const std::size_t l = 2 * i + 1, r = 2 * i + 2;
-    if (l < n && SourceLess(heap_[l], heap_[smallest])) smallest = l;
-    if (r < n && SourceLess(heap_[r], heap_[smallest])) smallest = r;
-    if (smallest == i) return;
-    std::swap(heap_[i], heap_[smallest]);
-    i = smallest;
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && SourceLess(heap_[child + 1], heap_[child])) ++child;
+    if (!SourceLess(heap_[child], item)) break;
+    heap_[i] = heap_[child];
+    i = child;
   }
+  heap_[i] = item;
 }
 
 IoResult MergeStream::Open(const RunSet& runs, std::size_t first,
@@ -225,6 +281,7 @@ IoResult MergeStream::Open(const RunSet& runs, std::size_t first,
     }
     src->buffer.reserve(buffer_edges);
     if (IoResult r = Refill(*src); !r.ok) return r;
+    keys_.push_back(EdgeKey(src->buffer[0]));
     sources_.push_back(std::move(src));
     heap_.push_back(static_cast<std::uint32_t>(sources_.size() - 1));
   }
@@ -248,9 +305,11 @@ IoResult MergeStream::Next(Edge* edge, bool* eof) {
         heap_.pop_back();
         if (!heap_.empty()) HeapSiftDown(0);
       } else {
+        keys_[top] = EdgeKey(src.buffer[0]);
         HeapSiftDown(0);
       }
     } else {
+      keys_[top] = EdgeKey(src.buffer[src.pos]);
       HeapSiftDown(0);
     }
     if (have_last_ && e == last_) continue;  // duplicate: emit once
@@ -270,12 +329,14 @@ IoResult MergeStream::Next(Edge* edge, bool* eof) {
 ExternalEdgeSorter::ExternalEdgeSorter(const ExtmemOptions& options)
     : options_(options) {
   // The explicit override is honoured down to 2 edges so tests can force
-  // run boundaries anywhere; the derived default keeps a sane floor.
+  // run boundaries anywhere; the derived default keeps a sane floor. The
+  // radix sort's scratch is as large as the buffer, so the two together
+  // take half the budget.
   buffer_capacity_ =
       options.run_buffer_edges != 0
           ? std::max<std::size_t>(options.run_buffer_edges, 2)
           : std::max<std::size_t>(
-                4096, static_cast<std::size_t>(options.mem_budget_bytes / 2 /
+                4096, static_cast<std::size_t>(options.mem_budget_bytes / 4 /
                                                sizeof(Edge)));
   const std::size_t fanin = std::max<std::size_t>(options.merge_fanin, 2);
   options_.merge_fanin = fanin;
@@ -293,29 +354,32 @@ IoResult ExternalEdgeSorter::Create(const std::string& prefix) {
 
 IoResult ExternalEdgeSorter::SpillBuffer() {
   if (buffer_.empty()) return IoResult::Ok();
-  std::sort(buffer_.begin(), buffer_.end(), EdgeLess);
+  RadixSortEdges(&buffer_, &scratch_);
   IoResult r = runs_.WriteRun(buffer_.data(), buffer_.size());
   buffer_.clear();
   return r;
 }
 
-IoResult ExternalEdgeSorter::Add(Edge e) {
-  buffer_.push_back(e);
-  ++edges_added_;
-  if (buffer_.size() >= buffer_capacity_) return SpillBuffer();
-  return IoResult::Ok();
-}
-
 IoResult ExternalEdgeSorter::AddBatch(const Edge* edges, std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    if (IoResult r = Add(edges[i]); !r.ok) return r;
+  while (count > 0) {
+    const std::size_t take =
+        std::min(count, buffer_capacity_ - buffer_.size());
+    buffer_.insert(buffer_.end(), edges, edges + take);
+    edges_added_ += take;
+    edges += take;
+    count -= take;
+    if (buffer_.size() == buffer_capacity_) {
+      if (IoResult r = SpillBuffer(); !r.ok) return r;
+    }
   }
   return IoResult::Ok();
 }
 
 IoResult ExternalEdgeSorter::Finish(ExtBuildStats* stats) {
   if (IoResult r = SpillBuffer(); !r.ok) return r;
-  buffer_.shrink_to_fit();  // release the run buffer before merge phases
+  // Release the run buffer and the sort scratch before the merge phases.
+  buffer_ = std::vector<Edge>();
+  scratch_ = std::vector<Edge>();
   // Compact until one merge pass can cover everything.
   while (runs_.NumRuns() > options_.merge_fanin) {
     MergeStream merge;

@@ -41,7 +41,10 @@ struct ExtmemOptions {
   /// Scratch directory for run files. Empty: next to the output pack.
   std::string scratch_dir;
   /// Edges buffered in RAM before a run is spilled. 0 = derive from
-  /// mem_budget_bytes. Tests set a small value to force many runs.
+  /// mem_budget_bytes: a quarter of the budget, plus a radix-sort
+  /// scratch buffer of the same size. An explicit value (floor 2) gets
+  /// scratch of the same size too; tests set a small one to force many
+  /// runs.
   std::size_t run_buffer_edges = 0;
 };
 
@@ -55,6 +58,13 @@ struct ExtBuildStats {
 };
 
 class MergeStream;
+
+/// Sorts `*edges` into (src, dst) order with a stable LSD radix sort:
+/// 11/11/10-bit digits of dst, then of src, skipping every digit on
+/// which all keys agree. `*scratch` is the ping-pong buffer (resized to
+/// `edges->size()`); the two vectors may be swapped, so the sorted edges
+/// always end up in `*edges`.
+void RadixSortEdges(std::vector<Edge>* edges, std::vector<Edge>* scratch);
 
 /// A scratch directory of sorted run files. Created under a `.tmp.`
 /// staging name; Remove() (and the destructor, best-effort) deletes the
@@ -106,9 +116,11 @@ class RunSet {
 
 /// Streams the edges of a set of sorted runs in globally sorted
 /// (src, dst) order via a binary-heap k-way merge with bounded per-run
-/// read buffers. Duplicate edges (within or across runs) are emitted
-/// once. The run set must hold at most `merge_fanin` runs — callers go
-/// through ExternalEdgeSorter, which compacts first.
+/// read buffers. The heap compares each source's head edge as one cached
+/// 64-bit key (src<<32 | dst), ties broken by run index. Duplicate edges
+/// (within or across runs) are emitted once. The run set must hold at
+/// most `merge_fanin` runs — callers go through ExternalEdgeSorter,
+/// which compacts first.
 class MergeStream {
  public:
   MergeStream();  // out-of-line: Source is incomplete here
@@ -131,6 +143,7 @@ class MergeStream {
   IoResult Refill(Source& src);
 
   std::vector<std::unique_ptr<Source>> sources_;
+  std::vector<std::uint64_t> keys_;  // head key of each source
   std::vector<std::uint32_t> heap_;  // indices into sources_
   Edge last_{};
   bool have_last_ = false;
@@ -139,11 +152,12 @@ class MergeStream {
   bool SourceLess(std::uint32_t a, std::uint32_t b) const;
 };
 
-/// Bounded-memory external sorter: Add() buffers edges, spilling sorted
-/// runs; Finish() flushes and compacts to at most `merge_fanin` runs;
-/// afterwards OpenMerge() replays the sorted, deduplicated stream (and
-/// can be called repeatedly — the degree-counting and neighbor-writing
-/// passes of the CSR build each replay it once).
+/// Bounded-memory external sorter: AddBatch() buffers edges, spilling
+/// radix-sorted runs; Finish() flushes and compacts to at most
+/// `merge_fanin` runs; afterwards OpenMerge() replays the sorted,
+/// deduplicated stream (and can be called repeatedly — the
+/// degree-counting and neighbor-writing passes of the CSR build each
+/// replay it once).
 ///
 /// Self-loops are *kept* here (they sort like any edge); the CSR builder
 /// strips them at its level, mirroring Graph::Builder.
@@ -155,10 +169,11 @@ class ExternalEdgeSorter {
   /// Creates the scratch run directory (named after `prefix`).
   IoResult Create(const std::string& prefix);
 
-  IoResult Add(Edge e);
+  /// Appends to the run buffer in bulk, spilling only when it is full.
   IoResult AddBatch(const Edge* edges, std::size_t count);
 
-  /// Flushes the tail buffer and compacts to <= merge_fanin runs.
+  /// Flushes the tail buffer, frees the run buffer and its sort scratch,
+  /// and compacts to <= merge_fanin runs.
   IoResult Finish(ExtBuildStats* stats);
 
   /// Opens a merge over the finished runs. Valid after Finish(); may be
@@ -177,6 +192,7 @@ class ExternalEdgeSorter {
   std::size_t buffer_capacity_ = 0;
   std::size_t merge_buffer_edges_ = 0;
   std::vector<Edge> buffer_;
+  std::vector<Edge> scratch_;  // radix-sort ping-pong, same size as buffer_
   RunSet runs_;
   std::uint64_t edges_added_ = 0;
   bool finished_ = false;

@@ -4,6 +4,10 @@
 #include <filesystem>
 #include <new>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "store/fingerprint.h"
@@ -84,26 +88,41 @@ void ExtPackBuilder::ReserveNodes(NodeId n) {
 }
 
 IoResult ExtPackBuilder::Add(NodeId src, NodeId dst) {
-  // Track n over *all* ingested edges — Graph::Builder grows the node
-  // count before it strips self-loops, and bit-identity depends on it.
-  const NodeId hi = std::max(src, dst);
-  if (!saw_node_ || hi > max_node_) max_node_ = hi;
-  saw_node_ = true;
-  ++stats_.edges_ingested;
-  if (src == dst) return IoResult::Ok();  // dropped, like Builder::Build()
-  return forward_.Add({src, dst});
+  const Edge e{src, dst};
+  return AddBatch(&e, 1);
 }
 
 IoResult ExtPackBuilder::AddBatch(const Edge* edges, std::size_t count) {
+  if (count == 0) return IoResult::Ok();
+  // Track n over *all* ingested edges — Graph::Builder grows the node
+  // count before it strips self-loops, and bit-identity depends on it.
+  NodeId hi = max_node_;
+  // Self-loops are dropped, like Builder::Build(): the runs between them
+  // go to the sorter in bulk.
+  std::size_t begin = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    if (IoResult r = Add(edges[i].src, edges[i].dst); !r.ok) return r;
+    hi = std::max({hi, edges[i].src, edges[i].dst});
+    if (edges[i].src != edges[i].dst) continue;
+    if (IoResult r = forward_.AddBatch(edges + begin, i - begin); !r.ok) {
+      return r;
+    }
+    begin = i + 1;
   }
-  return IoResult::Ok();
+  max_node_ = hi;
+  saw_node_ = true;
+  stats_.edges_ingested += count;
+  return forward_.AddBatch(edges + begin, count - begin);
 }
 
 IoResult ExtPackBuilder::Finish() {
   IoResult r = FinishImpl();
   forward_.ReleaseScratch();
+#if defined(__GLIBC__)
+  // The build's buffers are all freed by now, but glibc keeps freed heap
+  // pages resident until trimmed; give them back before the caller maps
+  // or loads the pack.
+  malloc_trim(0);
+#endif
   return r;
 }
 
@@ -114,24 +133,31 @@ IoResult ExtPackBuilder::FinishImpl() {
       std::max<std::uint64_t>(saw_node_ ? std::uint64_t{max_node_} + 1 : 0,
                               reserved_nodes_);
 
-  if (IoResult r = forward_.Finish(&stats_); !r.ok) return r;
+  // Each phase has a child span, so a run report can say where the build
+  // time went.
+  {
+    GORDER_OBS_SPAN(phase, "extmem.runs_finish");
+    if (IoResult r = forward_.Finish(&stats_); !r.ok) return r;
+  }
 
   // --- Pass A: count degrees, spill the transposed stream. -------------
   std::vector<EdgeId> out_off, in_off;
-  try {
-    GORDER_FAULT_ALLOC(fp_csr_alloc);
-    out_off.assign(static_cast<std::size_t>(n) + 1, 0);
-    in_off.assign(static_cast<std::size_t>(n) + 1, 0);
-  } catch (const std::bad_alloc&) {
-    return IoResult::Error("cannot allocate offset arrays for " +
-                           std::to_string(n) + " nodes");
-  }
   ExternalEdgeSorter transposed(options_);
-  if (IoResult r = transposed.Create(scratch_prefix_ + ".rev"); !r.ok) {
-    return r;
-  }
   std::uint64_t m = 0;
+  store::Hash64 fingerprint;
   {
+    GORDER_OBS_SPAN(phase, "extmem.count_transpose");
+    try {
+      GORDER_FAULT_ALLOC(fp_csr_alloc);
+      out_off.assign(static_cast<std::size_t>(n) + 1, 0);
+      in_off.assign(static_cast<std::size_t>(n) + 1, 0);
+    } catch (const std::bad_alloc&) {
+      return IoResult::Error("cannot allocate offset arrays for " +
+                             std::to_string(n) + " nodes");
+    }
+    if (IoResult r = transposed.Create(scratch_prefix_ + ".rev"); !r.ok) {
+      return r;
+    }
     MergeStream merge;
     if (IoResult r = forward_.OpenMerge(&merge); !r.ok) return r;
     while (true) {
@@ -142,30 +168,34 @@ IoResult ExtPackBuilder::FinishImpl() {
       ++m;
       ++out_off[static_cast<std::size_t>(e.src) + 1];
       ++in_off[static_cast<std::size_t>(e.dst) + 1];
-      if (IoResult r = transposed.Add({e.dst, e.src}); !r.ok) return r;
+      const Edge flipped{e.dst, e.src};
+      if (IoResult r = transposed.AddBatch(&flipped, 1); !r.ok) return r;
     }
+    merge.Close();
+    if (IoResult r = transposed.Finish(&stats_); !r.ok) return r;
+    stats_.edges_final = m;
+
+    // Prefix sums turn the degrees into offsets.
+    for (std::size_t v = 0; v < n; ++v) out_off[v + 1] += out_off[v];
+    for (std::size_t v = 0; v < n; ++v) in_off[v + 1] += in_off[v];
+    fingerprint.Mix(n);
+    fingerprint.Mix(m);
+    for (EdgeId off : out_off) fingerprint.Mix(off);
   }
-  if (IoResult r = transposed.Finish(&stats_); !r.ok) return r;
-  stats_.edges_final = m;
 
-  // --- Pass B: prefix sums, stream the four sections into the pack. ----
-  for (std::size_t v = 0; v < n; ++v) out_off[v + 1] += out_off[v];
-  for (std::size_t v = 0; v < n; ++v) in_off[v + 1] += in_off[v];
-
-  store::Hash64 fingerprint;
-  fingerprint.Mix(n);
-  fingerprint.Mix(m);
-  for (EdgeId off : out_off) fingerprint.Mix(off);
-
-  // The four sections go out strictly in file order: both offset arrays
-  // are already in RAM, the neighbour lists come off the merges.
+  // --- Pass B: stream the four sections into the pack. ------------------
+  // They go out strictly in file order: both offset arrays are already
+  // in RAM, the neighbour lists come off the merges.
   store::GpackWriter writer;
-  if (IoResult r = writer.Begin(pack_path_, n, m); !r.ok) return r;
   const std::size_t off_bytes =
       (static_cast<std::size_t>(n) + 1) * sizeof(EdgeId);
   std::uint64_t out_count = 0, in_count = 0;
-  if (IoResult r = writer.Append(out_off.data(), off_bytes); !r.ok) return r;
   {
+    GORDER_OBS_SPAN(phase, "extmem.out_neighbors");
+    if (IoResult r = writer.Begin(pack_path_, n, m); !r.ok) return r;
+    if (IoResult r = writer.Append(out_off.data(), off_bytes); !r.ok) {
+      return r;
+    }
     MergeStream merge;
     if (IoResult r = forward_.OpenMerge(&merge); !r.ok) return r;
     if (IoResult r =
@@ -174,8 +204,9 @@ IoResult ExtPackBuilder::FinishImpl() {
       return r;
     }
   }
-  if (IoResult r = writer.Append(in_off.data(), off_bytes); !r.ok) return r;
   {
+    GORDER_OBS_SPAN(phase, "extmem.in_neighbors");
+    if (IoResult r = writer.Append(in_off.data(), off_bytes); !r.ok) return r;
     MergeStream merge;
     if (IoResult r = transposed.OpenMerge(&merge); !r.ok) return r;
     // Transposed edges are (dst, src): sorted by dst then src, so the
@@ -185,6 +216,7 @@ IoResult ExtPackBuilder::FinishImpl() {
       return r;
     }
   }
+  GORDER_OBS_SPAN(phase, "extmem.commit");
   transposed.ReleaseScratch();
   if (out_count != m || in_count != m) {
     return IoResult::Error("merge replay disagreed on edge count (" +

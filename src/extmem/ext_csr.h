@@ -6,9 +6,9 @@
 /// ExtPackBuilder turns an unbounded edge stream into a finished .gpack
 /// without ever materialising a global edge list or CSR in RAM:
 ///
-///   ingest     Add() feeds an ExternalEdgeSorter (bounded buffer,
-///              sorted runs on disk). Self-loops are dropped here but
-///              still grow the node count, matching Graph::Builder.
+///   ingest     AddBatch() feeds an ExternalEdgeSorter (bounded buffer,
+///              radix-sorted runs on disk). Self-loops are dropped here
+///              but still grow the node count, matching Graph::Builder.
 ///   pass A     k-way merge replay #1: counts m and the out-/in-degrees
 ///              (O(n) RAM) and spills the transposed edges (dst, src)
 ///              into a second sorter for the in-CSR.
@@ -50,6 +50,8 @@ class ExtPackBuilder {
   /// Adds one directed edge. Node ids grow the graph like
   /// Graph::Builder::AddEdge (self-loops count toward n, then drop).
   IoResult Add(NodeId src, NodeId dst);
+  /// Adds `count` edges the same way, handing the sorter the stretches
+  /// between self-loops in bulk.
   IoResult AddBatch(const Edge* edges, std::size_t count);
 
   /// Runs the merge passes, writes and commits the pack. After Finish()

@@ -151,6 +151,180 @@ TEST(ExtCsrTest, LargerShuffledGraphWithTinyBudget) {
   ExpectPackIdentical(edges, 0, TinyOptions(512, 4));
 }
 
+TEST(ExtCsrTest, BatchesWithSelfLoopsMatchSingleAdds) {
+  // AddBatch hands the sorter the stretches between self-loops in bulk;
+  // batches that start, end or consist of self-loops, and a run buffer
+  // that fills mid-batch, must give the pack that one Add per edge does.
+  std::vector<Edge> edges;
+  Rng rng(5);
+  for (int i = 0; i < 3000; ++i) {
+    const auto src = static_cast<NodeId>(rng.Uniform(60));
+    const bool loop = rng.Uniform(5) == 0;
+    edges.push_back({src, loop ? src : static_cast<NodeId>(rng.Uniform(60))});
+  }
+  const ScopedTempDir dir;
+  const std::string single = dir.Path("single.gpack");
+  const std::string batched = dir.Path("batched.gpack");
+  extmem::ExtPackBuilder one(TinyOptions(37));
+  ASSERT_TRUE(one.Begin(single).ok);
+  for (const Edge& e : edges) ASSERT_TRUE(one.Add(e.src, e.dst).ok);
+  ASSERT_TRUE(one.Finish().ok);
+  extmem::ExtPackBuilder many(TinyOptions(37));
+  ASSERT_TRUE(many.Begin(batched).ok);
+  for (std::size_t i = 0; i < edges.size();) {
+    const std::size_t count =
+        std::min<std::size_t>(1 + rng.Uniform(90), edges.size() - i);
+    ASSERT_TRUE(many.AddBatch(edges.data() + i, count).ok);
+    i += count;
+  }
+  ASSERT_TRUE(many.Finish().ok);
+  EXPECT_EQ(many.stats().edges_ingested, edges.size());
+  EXPECT_EQ(many.stats().edges_final, one.stats().edges_final);
+  EXPECT_TRUE(ReadAll(single) == ReadAll(batched));
+}
+
+TEST(ExtCsrTest, PackBuildReportsItsPhasesAsChildSpans) {
+#if defined(GORDER_OBS_DISABLED)
+  GTEST_SKIP() << "observability compiled out";
+#endif
+  obs::SetEnabledForTest(true);
+  obs::StopCapture();
+  obs::ClearSpans();
+  obs::StartCapture();
+  std::vector<Edge> edges;
+  Rng rng(3);
+  for (int i = 0; i < 2000; ++i) {
+    edges.push_back({static_cast<NodeId>(rng.Uniform(100)),
+                     static_cast<NodeId>(rng.Uniform(100))});
+  }
+  const ScopedTempDir dir;
+  extmem::ExtPackBuilder builder(TinyOptions(64));
+  ASSERT_TRUE(builder.Begin(dir.Path("spans.gpack")).ok);
+  ASSERT_TRUE(builder.AddBatch(edges.data(), edges.size()).ok);
+  ASSERT_TRUE(builder.Finish().ok);
+  obs::StopCapture();
+  const std::vector<obs::SpanRecord> spans = obs::SnapshotSpans();
+  obs::ClearSpans();
+
+  std::int64_t parent = obs::kNoParent;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].name == "extmem.pack_build") {
+      parent = static_cast<std::int64_t>(i);
+    }
+  }
+  ASSERT_NE(parent, obs::kNoParent);
+  std::vector<std::string> children;
+  double children_s = 0;
+  for (const obs::SpanRecord& s : spans) {
+    if (s.parent != parent) continue;
+    children.push_back(s.name);
+    EXPECT_GE(s.dur_s, 0.0) << s.name << " left open";
+    children_s += s.dur_s;
+  }
+  EXPECT_EQ(children,
+            (std::vector<std::string>{
+                "extmem.runs_finish", "extmem.count_transpose",
+                "extmem.out_neighbors", "extmem.in_neighbors",
+                "extmem.commit"}));
+  // Children run one after another inside the parent.
+  EXPECT_LE(children_s, spans[static_cast<std::size_t>(parent)].dur_s + 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// Radix-sorted runs and the k-way merge
+
+/// Sorts a copy of `edges` with RadixSortEdges and with std::sort in
+/// (src, dst) order; the two must agree element for element.
+void ExpectRadixMatchesComparisonSort(const std::vector<Edge>& edges) {
+  std::vector<Edge> radix = edges;
+  std::vector<Edge> scratch;
+  extmem::RadixSortEdges(&radix, &scratch);
+  std::vector<Edge> expected = edges;
+  std::sort(expected.begin(), expected.end(), [](const Edge& a, const Edge& b) {
+    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+  });
+  ASSERT_EQ(radix.size(), expected.size());
+  EXPECT_TRUE(radix == expected);
+}
+
+TEST(RadixSortEdgesTest, TinyAndDegenerateInputs) {
+  ExpectRadixMatchesComparisonSort({});
+  ExpectRadixMatchesComparisonSort({{5, 9}});
+  ExpectRadixMatchesComparisonSort({{5, 9}, {5, 2}});
+  ExpectRadixMatchesComparisonSort({{0, 0}, {0, 0}});
+  ExpectRadixMatchesComparisonSort(std::vector<Edge>(1000, Edge{77, 3}));
+}
+
+TEST(RadixSortEdgesTest, DuplicatesSortedAndReversedInput) {
+  std::vector<Edge> sorted;
+  for (NodeId s = 0; s < 50; ++s) {
+    for (NodeId d = 0; d < 50; d += 7) sorted.push_back({s, d});
+  }
+  ExpectRadixMatchesComparisonSort(sorted);
+  std::vector<Edge> reversed(sorted.rbegin(), sorted.rend());
+  ExpectRadixMatchesComparisonSort(reversed);
+  std::vector<Edge> doubled = reversed;
+  doubled.insert(doubled.end(), sorted.begin(), sorted.end());
+  ExpectRadixMatchesComparisonSort(doubled);
+}
+
+TEST(RadixSortEdgesTest, IdsUseAllThirtyTwoBits) {
+  // Ids at 0xFFFFFFFE set every digit, including src's top one, the last
+  // pass; mixing them with small ids makes every digit vary.
+  constexpr NodeId kTop = 0xFFFFFFFEu;
+  ExpectRadixMatchesComparisonSort(
+      {{kTop, kTop}, {0, kTop}, {kTop, 0}, {1, 1}, {kTop, 1}, {0, 0},
+       {kTop - 1, kTop}, {kTop, kTop}, {1u << 31, 1u << 22}});
+  std::vector<Edge> edges;
+  Rng rng(11);
+  for (int i = 0; i < 5000; ++i) {
+    edges.push_back({kTop - static_cast<NodeId>(rng.Uniform(3000)),
+                     static_cast<NodeId>(rng.Uniform(3000))});
+  }
+  ExpectRadixMatchesComparisonSort(edges);
+}
+
+TEST(RadixSortEdgesTest, RandomBuffersOverSeveralSeeds) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Rng rng(seed);
+    // Seed 1 draws full 32-bit ids; the others narrower ranges, so some
+    // digits are constant and skipped.
+    const std::uint64_t range = seed == 1 ? (1ull << 32) : (1ull << (8 * seed));
+    std::vector<Edge> edges(100000);
+    for (Edge& e : edges) {
+      e = {static_cast<NodeId>(rng.Uniform(range)),
+           static_cast<NodeId>(rng.Uniform(range))};
+    }
+    ExpectRadixMatchesComparisonSort(edges);
+  }
+}
+
+TEST(MergeStreamTest, EdgeInThreeRunsIsEmittedOnceInOrder) {
+  const ScopedTempDir dir;
+  extmem::RunSet runs;
+  ASSERT_TRUE(runs.Create(dir.Path("merge")).ok);
+  const std::vector<std::vector<Edge>> contents = {
+      {{0, 1}, {2, 3}, {4, 0}},
+      {{1, 1}, {2, 3}, {5, 5}},
+      {{2, 2}, {2, 3}, {2, 4}, {7, 0}},
+  };
+  for (const auto& run : contents) {
+    ASSERT_TRUE(runs.WriteRun(run.data(), run.size()).ok);
+  }
+  extmem::MergeStream merge;
+  ASSERT_TRUE(merge.Open(runs, 0, runs.NumRuns(), 2).ok);
+  std::vector<Edge> out;
+  while (true) {
+    Edge e;
+    bool eof = false;
+    ASSERT_TRUE(merge.Next(&e, &eof).ok);
+    if (eof) break;
+    out.push_back(e);
+  }
+  EXPECT_TRUE(out == (std::vector<Edge>{{0, 1}, {1, 1}, {2, 2}, {2, 3},
+                                        {2, 4}, {4, 0}, {5, 5}, {7, 0}}));
+}
+
 // ---------------------------------------------------------------------------
 // Text edge-list streaming ingest
 

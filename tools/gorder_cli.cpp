@@ -433,11 +433,11 @@ int PackRmatStream(const Flags& flags, const std::string& out) {
 ///   --in=<graph file> --out=<f.gpack>
 ///       packs an existing graph file.
 int CmdPack(const Flags& flags) {
-  std::string in = flags.GetString("in", "");
+  // Each mode reads only its own flags, so RejectUnread names the rest.
   std::string out = flags.GetString("out", "");
-  std::string dataset = flags.GetString("dataset", "");
   if (flags.Has("rmat-scale")) return PackRmatStream(flags, out);
   if (flags.GetBool("extmem", false)) {
+    const std::string in = flags.GetString("in", "");
     if (in.empty() || out.empty() || EndsWith(in, ".gpack") ||
         EndsWith(in, ".bin")) {
       std::fprintf(stderr,
@@ -458,6 +458,7 @@ int CmdPack(const Flags& flags) {
     return 0;
   }
   Graph g;
+  const std::string dataset = flags.GetString("dataset", "");
   if (!dataset.empty()) {
     const gen::DatasetSpec* spec = RequireDatasetSpec(flags, dataset);
     if (spec == nullptr) return 2;
@@ -478,7 +479,7 @@ int CmdPack(const Flags& flags) {
     }
     flags.RejectUnread();
     g = gen::MakeDataset(dataset, scale, seed);
-  } else if (!in.empty()) {
+  } else if (const std::string in = flags.GetString("in", ""); !in.empty()) {
     if (out.empty()) {
       std::fprintf(stderr, "error: --cmd=pack --in needs --out=<f.gpack>\n");
       return 2;
